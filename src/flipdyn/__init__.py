@@ -34,7 +34,6 @@ from .coupling import (
     difference_sets,
     expected_distance_change,
     greedy_coupling_distribution,
-    greedy_coupling_step,
     signature,
     terminating_mass,
     variable_length_coupling,
@@ -126,7 +125,6 @@ __all__ = [
     "flip_step_distribution",
     "gamma_bound",
     "greedy_coupling_distribution",
-    "greedy_coupling_step",
     "h_value",
     "mixed_vector",
     "mixing_time_bound",

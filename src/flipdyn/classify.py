@@ -99,7 +99,6 @@ class Stage(enum.Enum):
 
 def stage_update(
     prev: Stage,
-    prev_pair: NeighboringPair,
     new_pair: Optional[NeighboringPair],
     move: Optional[CoupledMove],
     c: int,
@@ -161,10 +160,8 @@ def stage_walk(
             raise CapacityError(f"stage walk exceeded {step_cap} steps")
         move = walk.step()
         new_pair = walk.pair if walk._final is None else None
-        stage = stage_update(stage, pair, new_pair, move, c, first)
+        stage = stage_update(stage, new_pair, move, c, first)
         first = False
-        if new_pair is not None:
-            pair = new_pair
     return StageWalkResult(outcome=stage, steps=walk.steps)
 
 

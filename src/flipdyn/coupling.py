@@ -1,31 +1,39 @@
 """One-step greedy coupling of the flip dynamics on a neighboring pair.
 
-For a pair (sigma, tau) differing only at v, most alternating components
-are identical in the two colorings and are coupled by the identity; the
-difference structure D collects, per color c, the components that differ.
-For a color c outside {s, t} = {sigma(v), tau(v)} with delta_c c-colored
-neighbors u_1 < ... < u_m of v, the component of v on the sigma side
-decomposes exactly as S_sigma(v,c) = {v} + sum of S_tau(u_i, s) (distinct
-components counted once; repeated ones are recorded as empty), and
-symmetrically on the tau side.  The greedy coupling pairs the big
+For a pair (sigma, tau) differing only at v, with s = sigma(v) and
+t = tau(v), most alternating components are identical in the two
+colorings and are coupled by the identity.  The difference structure D
+collects the rest, and it splits into one block per color.  The block
+classes below are the only place that knows the shape of D; moves, the
+sigma-side flips of D, difference_sets and signatures are all read off
+them, and _blocks(pair) lists them in color order with the disagreement
+block last (the move order the walk's sampling table relies on).
+
+A color c outside {s, t} has a generic block.  With u_1 < ... < u_m the
+c-colored neighbors of v, the component of v on the sigma side
+decomposes exactly as S_sigma(v,c) = {v} + sum of S_tau(u_i, s)
+(distinct components counted once; repeated ones are recorded as empty),
+and symmetrically on the tau side.  The greedy coupling pairs the big
 component on each side against the largest opposite block entry and
 couples the rest so that both marginals are exactly the single-coloring
-flip distribution.
+flip distribution.  A color absent from the neighborhood (delta_c = 0) is
+the degenerate generic block: both sides are {v}, there are no entries,
+and its one move coalesces.
 
-The colors s and t themselves are handled through one unified block built
-from the {s,t}-colored subgraph with v removed: its components are
-classified by whether they attach to v through s-colored neighbors
-(reaching v on the tau side), t-colored neighbors (sigma side), or both.
-When no component attaches both ways the two sides pair independently,
-which on a proper pair reduces to two singleton coalescing moves; when a
-component attaches both ways the two big components are paired directly
-against each other, which keeps every mass nonnegative and both marginals
-exact (the per-side pairing used for the generic blocks can go negative
+The colors s and t share one disagreement block built from the
+{s,t}-colored subgraph with v removed: its components are classified by
+whether they attach to v through s-colored neighbors (reaching v on the
+tau side), t-colored neighbors (sigma side), or both.  When no component
+attaches both ways the two sides pair independently, which on a proper
+pair reduces to two singleton coalescing moves; when a component
+attaches both ways the two big components are paired directly against
+each other, which keeps every mass nonnegative and both marginals exact
+(the per-side pairing used for the generic blocks can go negative
 there).
 
-A move is terminating when one of its flips is rooted at v or at a
-neighbor of v flipped toward the opposite disagreement color; these are
-exactly the moves in D.  Non-terminating moves never change the Hamming
+A move is terminating when one of its flips is in D: rooted at v, or the
+component of a neighbor of v flipped toward the opposite disagreement
+color (_touches_d).  Non-terminating moves never change the Hamming
 distance; terminating moves may (including to 0 or above 1), but a
 terminating move can also relocate the disagreement to another vertex at
 distance 1.
@@ -41,7 +49,6 @@ from .dynamics import FlipProbabilities
 from .errors import CapacityError, InputError, InvariantError
 from .graphs import (
     Coloring,
-    Graph,
     NeighboringPair,
     alternating_component,
     enumerate_flips,
@@ -52,6 +59,7 @@ from .graphs import (
 # A flip is (vertex set, low color, high color); None stands for "no flip
 # on this side".
 Flip = tuple[frozenset[int], int, int]
+Entries = list[tuple[str, Optional[Flip]]]
 
 
 def _mk_flip(vertices: frozenset[int], c1: int, c2: int) -> Flip:
@@ -121,6 +129,20 @@ def _dedup(sets: list[frozenset[int]]) -> list[frozenset[int]]:
     return out
 
 
+def _per_draw(p: Fraction, nk: int) -> Fraction:
+    """p / nk, built from integers: Fraction's constructor is far cheaper
+    on two ints than on a Fraction and an int."""
+    return Fraction(p.numerator, p.denominator * nk)
+
+
+def _emit(
+    out: list[CoupledMove], nk: int, sf: Optional[Flip], tf: Optional[Flip], mass: Fraction
+) -> None:
+    """Append a terminating move of mass/nk unless mass is zero."""
+    if mass != 0:
+        out.append(CoupledMove(sf, tf, _per_draw(mass, nk), True))
+
+
 def _argmax_lowest(sizes: Sequence[int]) -> int:
     best = 0
     for i in range(1, len(sizes)):
@@ -130,48 +152,46 @@ def _argmax_lowest(sizes: Sequence[int]) -> int:
 
 
 class _GenericBlock:
-    """Difference block for one color c outside {s, t} with delta_c > 0."""
+    """Difference block for one color c outside {s, t}.
+
+    An absent color (delta_c = 0) has both sides {v}, no entries and one
+    coalescing move; it runs no search.
+    """
+
+    __slots__ = ("c", "s", "t", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets",
+                 "i_max", "j_max")
 
     def __init__(self, pair: NeighboringPair, c: int):
+        self.c, self.s, self.t = c, pair.s, pair.t
+        if not pair.delta(c):
+            self.u = self.a_sets = self.b_sets = ()
+            self.sv_sigma = self.sv_tau = frozenset((pair.v,))
+            self.i_max = self.j_max = None
+            return
         g, sig, tau, v = pair.graph, pair.sigma, pair.tau, pair.v
-        self.c = c
         self.u = pair.neighbors_colored(c)
         self.sv_sigma = alternating_component(g, sig, v, c)
         self.sv_tau = alternating_component(g, tau, v, c)
         self.a_sets = _dedup([alternating_component(g, tau, u, pair.s) for u in self.u])
         self.b_sets = _dedup([alternating_component(g, sig, u, pair.t) for u in self.u])
-        self.A = len(self.sv_sigma)
-        self.B = len(self.sv_tau)
-        if self.A != 1 + sum(len(x) for x in self.a_sets):
+        if len(self.sv_sigma) != 1 + sum(len(x) for x in self.a_sets):
             raise InvariantError(f"block {c}: sigma component does not decompose")
-        if self.B != 1 + sum(len(x) for x in self.b_sets):
+        if len(self.sv_tau) != 1 + sum(len(x) for x in self.b_sets):
             raise InvariantError(f"block {c}: tau component does not decompose")
         self.i_max = _argmax_lowest([len(x) for x in self.a_sets])
         self.j_max = _argmax_lowest([len(x) for x in self.b_sets])
 
-    def moves(self, pair: NeighboringPair, probs: FlipProbabilities, nk: int) -> list[CoupledMove]:
-        s, t, c = pair.s, pair.t, self.c
-        pA = probs.mass(self.A)
-        pB = probs.mass(self.B)
-        out = []
-        if pA != 0:
-            out.append(
-                CoupledMove(
-                    _mk_flip(self.sv_sigma, s, c),
-                    _mk_flip(self.a_sets[self.i_max], c, s),
-                    Fraction(pA, nk),
-                    True,
-                )
-            )
-        if pB != 0:
-            out.append(
-                CoupledMove(
-                    _mk_flip(self.b_sets[self.j_max], c, t),
-                    _mk_flip(self.sv_tau, t, c),
-                    Fraction(pB, nk),
-                    True,
-                )
-            )
+    def moves(self, probs: FlipProbabilities, nk: int) -> list[CoupledMove]:
+        s, t, c = self.s, self.t, self.c
+        if not self.u:
+            # p_1 = 1: v's two singleton flips to c coalesce
+            return [CoupledMove(_mk_flip(self.sv_sigma, s, c), _mk_flip(self.sv_tau, t, c),
+                                Fraction(1, nk), True)]
+        pA = probs.mass(len(self.sv_sigma))
+        pB = probs.mass(len(self.sv_tau))
+        out: list[CoupledMove] = []
+        _emit(out, nk, _mk_flip(self.sv_sigma, s, c), _mk_flip(self.a_sets[self.i_max], c, s), pA)
+        _emit(out, nk, _mk_flip(self.b_sets[self.j_max], c, t), _mk_flip(self.sv_tau, t, c), pB)
         for i in range(len(self.u)):
             q = probs.mass(len(self.a_sets[i])) - (pA if i == self.i_max else 0)
             qp = probs.mass(len(self.b_sets[i])) - (pB if i == self.j_max else 0)
@@ -180,28 +200,46 @@ class _GenericBlock:
                     f"negative residual mass in block {c}: flip vector not monotone"
                 )
             both = min(q, qp)
-            if both != 0:
-                out.append(
-                    CoupledMove(
-                        _mk_flip(self.b_sets[i], c, t),
-                        _mk_flip(self.a_sets[i], c, s),
-                        Fraction(both, nk),
-                        True,
-                    )
-                )
-            if q - both != 0:
-                out.append(
-                    CoupledMove(
-                        None, _mk_flip(self.a_sets[i], c, s), Fraction(q - both, nk), True
-                    )
-                )
-            if qp - both != 0:
-                out.append(
-                    CoupledMove(
-                        _mk_flip(self.b_sets[i], c, t), None, Fraction(qp - both, nk), True
-                    )
-                )
+            a_flip = _mk_flip(self.a_sets[i], c, s)
+            b_flip = _mk_flip(self.b_sets[i], c, t)
+            _emit(out, nk, b_flip, a_flip, both)
+            _emit(out, nk, None, a_flip, q - both)
+            _emit(out, nk, b_flip, None, qp - both)
         return out
+
+    def sigma_flips(self) -> list[Flip]:
+        c, t = self.c, self.t
+        out = [_mk_flip(self.sv_sigma, self.s, c)]
+        for bset in self.b_sets:
+            if bset:
+                out.append(_mk_flip(bset, c, t))
+        return out
+
+    def entries(self) -> dict[int, Entries]:
+        s, t, c = self.s, self.t, self.c
+        out: Entries = [("sigma:v", _mk_flip(self.sv_sigma, s, c)),
+                        ("tau:v", _mk_flip(self.sv_tau, t, c))]
+        for u, aset, bset in zip(self.u, self.a_sets, self.b_sets):
+            out.append((f"tau:u{u}", _mk_flip(aset, c, s) if aset else None))
+            out.append((f"sigma:u{u}", _mk_flip(bset, c, t) if bset else None))
+        return {c: out}
+
+    def signature(self, c: int) -> Signature:
+        if not self.u:
+            raise InputError(
+                f"color {c} absent from the neighborhood and not a disagreement color"
+            )
+        return Signature(
+            c=c,
+            delta=len(self.u),
+            A=len(self.sv_sigma),
+            B=len(self.sv_tau),
+            a=tuple(len(x) for x in self.a_sets),
+            b=tuple(len(x) for x in self.b_sets),
+            i_max=self.i_max,
+            j_max=self.j_max,
+        )
+
 
 class _DisagreementBlock:
     """Unified block for the two disagreement colors s and t."""
@@ -209,6 +247,7 @@ class _DisagreementBlock:
     def __init__(self, pair: NeighboringPair):
         g, sig, v = pair.graph, pair.sigma, pair.v
         s, t = pair.s, pair.t
+        self.s, self.t, self.v = s, t, v
         self.x = pair.neighbors_colored(s)
         self.y = pair.neighbors_colored(t)
         cols = sig.colors
@@ -238,7 +277,7 @@ class _DisagreementBlock:
 
         classes: list[frozenset[int]] = []
         class_index: dict[frozenset[int], int] = {}
-        for w in list(self.x) + list(self.y):
+        for w in self.x + self.y:
             comp = component_without_v(w)
             if comp not in class_index:
                 class_index[comp] = len(classes)
@@ -251,8 +290,7 @@ class _DisagreementBlock:
             has_y[class_index[comp_of[w]]] = True
 
         self.classes = classes
-        self.class_of = {w: class_index[comp_of[w]] for w in list(self.x) + list(self.y)}
-        self.mixed = [i for i in range(len(classes)) if has_x[i] and has_y[i]]
+        self.mixed = any(hx and hy for hx, hy in zip(has_x, has_y))
         self.pure_x = [i for i in range(len(classes)) if has_x[i] and not has_y[i]]
         self.pure_y = [i for i in range(len(classes)) if has_y[i] and not has_x[i]]
 
@@ -270,54 +308,102 @@ class _DisagreementBlock:
             raise InvariantError("sigma-side disagreement component mismatch")
         if self.m != alternating_component(g, pair.tau, v, s):
             raise InvariantError("tau-side disagreement component mismatch")
+        # Per-neighbor entries: the sigma-side component of each s-colored
+        # neighbor and the tau-side component of each t-colored one; a
+        # mixed class reaches v and coincides with the big component.
+        self.x_sets = [self.lam if has_y[class_index[comp_of[u]]] else comp_of[u]
+                       for u in self.x]
+        self.y_sets = [self.m if has_x[class_index[comp_of[u]]] else comp_of[u]
+                       for u in self.y]
 
-    def moves(self, pair: NeighboringPair, probs: FlipProbabilities, nk: int) -> list[CoupledMove]:
-        s, t = pair.s, pair.t
+    def moves(self, probs: FlipProbabilities, nk: int) -> list[CoupledMove]:
+        s, t = self.s, self.t
         p_lam = probs.mass(len(self.lam))
         p_m = probs.mass(len(self.m))
+        lam, m = _mk_flip(self.lam, s, t), _mk_flip(self.m, s, t)
         px = [len(self.classes[i]) for i in self.pure_x]
         py = [len(self.classes[i]) for i in self.pure_y]
-        out = []
+        out: list[CoupledMove] = []
 
-        def emit(sf, tf, mass):
-            if mass != 0:
-                out.append(CoupledMove(sf, tf, Fraction(mass, nk), True))
+        def cls(i: int) -> Flip:
+            return _mk_flip(self.classes[i], s, t)
 
         if self.mixed:
             both = min(p_lam, p_m)
-            emit(_mk_flip(self.lam, s, t), _mk_flip(self.m, s, t), both)
-            emit(_mk_flip(self.lam, s, t), None, p_lam - both)
-            emit(None, _mk_flip(self.m, s, t), p_m - both)
+            _emit(out, nk, lam, m, both)
+            _emit(out, nk, lam, None, p_lam - both)
+            _emit(out, nk, None, m, p_m - both)
             for i in self.pure_x:
-                emit(_mk_flip(self.classes[i], s, t), None, probs.mass(len(self.classes[i])))
+                _emit(out, nk, cls(i), None, probs.mass(len(self.classes[i])))
             for j in self.pure_y:
-                emit(None, _mk_flip(self.classes[j], s, t), probs.mass(len(self.classes[j])))
+                _emit(out, nk, None, cls(j), probs.mass(len(self.classes[j])))
             return out
 
         if py:
             j_hat = _argmax_lowest(py)
-            emit(_mk_flip(self.lam, s, t), _mk_flip(self.classes[self.pure_y[j_hat]], s, t), p_lam)
+            _emit(out, nk, lam, cls(self.pure_y[j_hat]), p_lam)
             for idx, j in enumerate(self.pure_y):
                 residual = probs.mass(py[idx]) - (p_lam if idx == j_hat else 0)
                 if residual < 0:
                     raise InvariantError("negative residual in disagreement block")
-                emit(None, _mk_flip(self.classes[j], s, t), residual)
+                _emit(out, nk, None, cls(j), residual)
         else:
-            emit(_mk_flip(self.lam, s, t), None, p_lam)
+            _emit(out, nk, lam, None, p_lam)
         if px:
             i_hat = _argmax_lowest(px)
-            emit(_mk_flip(self.classes[self.pure_x[i_hat]], s, t), _mk_flip(self.m, s, t), p_m)
+            _emit(out, nk, cls(self.pure_x[i_hat]), m, p_m)
             for idx, i in enumerate(self.pure_x):
                 residual = probs.mass(px[idx]) - (p_m if idx == i_hat else 0)
                 if residual < 0:
                     raise InvariantError("negative residual in disagreement block")
-                emit(_mk_flip(self.classes[i], s, t), None, residual)
+                _emit(out, nk, cls(i), None, residual)
         else:
-            emit(None, _mk_flip(self.m, s, t), p_m)
+            _emit(out, nk, None, m, p_m)
         return out
 
+    def sigma_flips(self) -> list[Flip]:
+        s, t = self.s, self.t
+        return [_mk_flip(self.lam, s, t)] + [_mk_flip(x, s, t) for x in self.x_sets]
 
-def difference_sets(pair: NeighboringPair) -> dict[int, list[tuple[str, Optional[Flip]]]]:
+    def entries(self) -> dict[int, Entries]:
+        s, t = self.s, self.t
+        s_entries: Entries = [("sigma:v", None), ("tau:v", _mk_flip(self.m, s, t))]
+        for u, comp in zip(self.x, self.x_sets):
+            s_entries.append((f"tau:u{u}", None))
+            s_entries.append((f"sigma:u{u}", _mk_flip(comp, s, t)))
+        t_entries: Entries = [("sigma:v", _mk_flip(self.lam, s, t)), ("tau:v", None)]
+        for u, comp in zip(self.y, self.y_sets):
+            t_entries.append((f"tau:u{u}", _mk_flip(comp, s, t)))
+            t_entries.append((f"sigma:u{u}", None))
+        return {s: s_entries, t: t_entries}
+
+    def signature(self, c: int) -> Signature:
+        v = self.v
+        if c == self.s:
+            # the big sigma component appears once, as the first mixed
+            # neighbor's entry, and counts without v toward j_max
+            b_sets = _dedup(self.x_sets)
+            b = tuple(len(x) for x in b_sets)
+            j_max = _argmax_lowest([len(x) - (v in x) for x in b_sets]) if b else None
+            return Signature(c=c, delta=len(self.x), A=0, B=len(self.m),
+                             a=(0,) * len(self.x), b=b, i_max=None, j_max=j_max)
+        a = tuple(0 if v in x else len(x) for x in _dedup(self.y_sets))
+        return Signature(c=c, delta=len(self.y), A=0 if self.mixed else len(self.lam), B=0,
+                         a=a, b=(0,) * len(self.y),
+                         i_max=_argmax_lowest(a) if a else None, j_max=None)
+
+
+def _blocks(pair: NeighboringPair) -> list[_GenericBlock | _DisagreementBlock]:
+    """Every block of D: the generic ones in color order, then s and t."""
+    s, t = pair.s, pair.t
+    out: list[_GenericBlock | _DisagreementBlock] = [
+        _GenericBlock(pair, c) for c in range(pair.k) if c != s and c != t
+    ]
+    out.append(_DisagreementBlock(pair))
+    return out
+
+
+def difference_sets(pair: NeighboringPair) -> dict[int, Entries]:
     """The difference structure D as labeled flips per color.
 
     For each color c the list holds ("sigma:v" / "tau:v") entries for the
@@ -326,44 +412,9 @@ def difference_sets(pair: NeighboringPair) -> dict[int, list[tuple[str, Optional
     The nonempty flips across all colors are exactly the components
     coupled non-identically.
     """
-    out: dict[int, list[tuple[str, Optional[Flip]]]] = {}
-    s, t = pair.s, pair.t
-    for c in range(pair.k):
-        if c == s or c == t:
-            continue
-        entries: list[tuple[str, Optional[Flip]]] = []
-        if pair.delta(c) == 0:
-            entries.append(("sigma:v", _mk_flip(frozenset([pair.v]), s, c)))
-            entries.append(("tau:v", _mk_flip(frozenset([pair.v]), t, c)))
-        else:
-            blk = _GenericBlock(pair, c)
-            entries.append(("sigma:v", _mk_flip(blk.sv_sigma, s, c)))
-            entries.append(("tau:v", _mk_flip(blk.sv_tau, t, c)))
-            for i, u in enumerate(blk.u):
-                aset = blk.a_sets[i]
-                bset = blk.b_sets[i]
-                entries.append((f"tau:u{u}", _mk_flip(aset, c, s) if aset else None))
-                entries.append((f"sigma:u{u}", _mk_flip(bset, c, t) if bset else None))
-        out[c] = entries
-    blk = _DisagreementBlock(pair)
-    s_entries: list[tuple[str, Optional[Flip]]] = [("sigma:v", None)]
-    s_entries.append(("tau:v", _mk_flip(blk.m, s, t)))
-    for u in blk.x:
-        cls = blk.classes[blk.class_of[u]]
-        s_entries.append((f"tau:u{u}", None))
-        # sigma-side component of an s-colored neighbor; mixed classes
-        # reach v and coincide with the big sigma component.
-        comp = blk.lam if blk.class_of[u] in blk.mixed else cls
-        s_entries.append((f"sigma:u{u}", _mk_flip(comp, s, t)))
-    out[s] = s_entries
-    t_entries: list[tuple[str, Optional[Flip]]] = [("sigma:v", _mk_flip(blk.lam, s, t))]
-    t_entries.append(("tau:v", None))
-    for u in blk.y:
-        cls = blk.classes[blk.class_of[u]]
-        comp = blk.m if blk.class_of[u] in blk.mixed else cls
-        t_entries.append((f"tau:u{u}", _mk_flip(comp, s, t)))
-        t_entries.append((f"sigma:u{u}", None))
-    out[t] = t_entries
+    out: dict[int, Entries] = {}
+    for blk in _blocks(pair):
+        out.update(blk.entries())
     return out
 
 
@@ -371,77 +422,9 @@ def signature(pair: NeighboringPair, c: int) -> Signature:
     """Block summary for color c; defined when delta_c > 0 or c is s or t."""
     if not (0 <= c < pair.k):
         raise InputError(f"color {c} out of range")
-    s, t = pair.s, pair.t
-    delta = pair.delta(c)
-    if c != s and c != t:
-        if delta == 0:
-            raise InputError(f"color {c} absent from the neighborhood and not a disagreement color")
-        blk = _GenericBlock(pair, c)
-        return Signature(
-            c=c,
-            delta=delta,
-            A=blk.A,
-            B=blk.B,
-            a=tuple(len(x) for x in blk.a_sets),
-            b=tuple(len(x) for x in blk.b_sets),
-            i_max=blk.i_max,
-            j_max=blk.j_max,
-        )
-    blk = _DisagreementBlock(pair)
-    if c == s:
-        b_sizes: list[int] = []
-        mixed_entry = None
-        seen: set[int] = set()
-        for u in blk.x:
-            ci = blk.class_of[u]
-            if ci in seen:
-                b_sizes.append(0)
-                continue
-            seen.add(ci)
-            if ci in blk.mixed:
-                if mixed_entry is None:
-                    mixed_entry = len(b_sizes)
-                    b_sizes.append(len(blk.lam))
-                else:
-                    b_sizes.append(0)
-            else:
-                b_sizes.append(len(blk.classes[ci]))
-        # all mixed classes share the big sigma component, so only the
-        # first mixed neighbor contributes an entry
-        if mixed_entry is not None:
-            adjusted = [v - (1 if i == mixed_entry else 0) for i, v in enumerate(b_sizes)]
-            j_max = _argmax_lowest(adjusted) if b_sizes else None
-        else:
-            j_max = _argmax_lowest(b_sizes) if b_sizes else None
-        return Signature(
-            c=c,
-            delta=delta,
-            A=0,
-            B=len(blk.m),
-            a=tuple([0] * len(blk.x)),
-            b=tuple(b_sizes),
-            i_max=None,
-            j_max=j_max,
-        )
-    a_sizes: list[int] = []
-    seen = set()
-    for u in blk.y:
-        ci = blk.class_of[u]
-        if ci in seen or ci in blk.mixed:
-            a_sizes.append(0)
-            continue
-        seen.add(ci)
-        a_sizes.append(len(blk.classes[ci]))
-    return Signature(
-        c=c,
-        delta=delta,
-        A=0 if blk.mixed else len(blk.lam),
-        B=0,
-        a=tuple(a_sizes),
-        b=tuple([0] * len(blk.y)),
-        i_max=_argmax_lowest(a_sizes) if a_sizes else None,
-        j_max=None,
-    )
+    if c == pair.s or c == pair.t:
+        return _DisagreementBlock(pair).signature(c)
+    return _GenericBlock(pair, c).signature(c)
 
 
 @dataclass(frozen=True)
@@ -477,34 +460,11 @@ def _difference_moves(
 ) -> tuple[list[CoupledMove], set[Flip]]:
     """All non-identity moves plus the sigma-side flip identities in D."""
     nk = pair.graph.n * pair.k
-    s, t = pair.s, pair.t
     moves: list[CoupledMove] = []
     sigma_labels: set[Flip] = set()
-
-    for c in range(pair.k):
-        if c == s or c == t:
-            continue
-        if pair.delta(c) == 0:
-            vset = frozenset([pair.v])
-            moves.append(
-                CoupledMove(
-                    _mk_flip(vset, s, c), _mk_flip(vset, t, c), Fraction(1, nk), True
-                )
-            )
-            sigma_labels.add(_mk_flip(vset, s, c))
-        else:
-            blk = _GenericBlock(pair, c)
-            moves.extend(blk.moves(pair, probs, nk))
-            sigma_labels.add(_mk_flip(blk.sv_sigma, s, c))
-            for bset in blk.b_sets:
-                if bset:
-                    sigma_labels.add(_mk_flip(bset, c, t))
-
-    blk = _DisagreementBlock(pair)
-    moves.extend(blk.moves(pair, probs, nk))
-    sigma_labels.add(_mk_flip(blk.lam, s, t))
-    for i in blk.pure_x:
-        sigma_labels.add(_mk_flip(blk.classes[i], s, t))
+    for blk in _blocks(pair):
+        moves.extend(blk.moves(probs, nk))
+        sigma_labels.update(blk.sigma_flips())
     return moves, sigma_labels
 
 
@@ -524,11 +484,27 @@ def greedy_coupling_distribution(
             continue
         p = probs.mass(len(f[0]))
         if p != 0:
-            moves.append(CoupledMove(f, f, Fraction(p, nk), False))
+            moves.append(CoupledMove(f, f, _per_draw(p, nk), False))
     total = sum((m.mass for m in moves), Fraction(0))
     if total > 1:
         raise InvariantError("coupled move masses exceed 1")
     return CouplingDistribution(moves=tuple(moves), noop_mass=1 - total)
+
+
+def _touches_d(pair: NeighboringPair, f: Flip, toward: int, cols: tuple[int, ...]) -> bool:
+    """Whether flip f, on the side colored cols, is in D.
+
+    It is when its component holds v, or when it recolors a neighbor of v
+    toward `toward`, the other side's disagreement color.
+    """
+    comp, lo, hi = f
+    v = pair.v
+    if v in comp:
+        return True
+    if toward != lo and toward != hi:
+        return False
+    other = hi if lo == toward else lo
+    return any(cols[u] == other for u in pair.graph.adj[v] if u in comp)
 
 
 def is_terminating(pair: NeighboringPair, move: CoupledMove) -> bool:
@@ -538,25 +514,10 @@ def is_terminating(pair: NeighboringPair, move: CoupledMove) -> bool:
     component of a neighbor of v toward tau(v), or symmetrically for the
     tau flip toward sigma(v).
     """
-    v, s, t = pair.v, pair.s, pair.t
-    nbrs = set(pair.graph.adj[v])
-    scols = pair.sigma.colors
-
-    def side_hits(f: Optional[Flip], toward: int, cols) -> bool:
-        if f is None:
-            return False
-        comp, lo, hi = f
-        if v in comp:
-            return True
-        if toward not in (lo, hi):
-            return False
-        other = hi if lo == toward else lo
-        return any(u in nbrs and cols[u] == other for u in comp)
-
-    if side_hits(move.sigma_flip, t, scols):
+    sf, tf = move.sigma_flip, move.tau_flip
+    if sf is not None and _touches_d(pair, sf, pair.t, pair.sigma.colors):
         return True
-    tcols = pair.tau.colors
-    return side_hits(move.tau_flip, s, tcols)
+    return tf is not None and _touches_d(pair, tf, pair.s, pair.tau.colors)
 
 
 def terminating_mass(pair: NeighboringPair, probs: FlipProbabilities) -> Fraction:
@@ -571,20 +532,6 @@ def expected_distance_change(pair: NeighboringPair, probs: FlipProbabilities) ->
         sig, tau = m.apply(pair)
         total += m.mass * (hamming(sig, tau) - 1)
     return total
-
-
-def greedy_coupling_step(
-    pair: NeighboringPair, probs: FlipProbabilities, rng
-) -> tuple[Coloring, Coloring]:
-    """Sample one coupled step by drawing from the full move distribution."""
-    dist = greedy_coupling_distribution(pair, probs)
-    u = rng.random()
-    acc = 0.0
-    for m in dist.moves:
-        acc += float(m.mass)
-        if u < acc:
-            return m.apply(pair)
-    return pair.sigma, pair.tau
 
 
 @dataclass(frozen=True)
@@ -653,37 +600,7 @@ class CoupledWalk:
         if acc > self._q + 1e-12:
             raise InvariantError("difference mass exceeds its draw budget")
         self._move_cum = cum
-        self._labels = labels
         self._dirty = False
-
-    def _sigma_component_class(self, x: int, c: int) -> tuple[bool, frozenset[int]]:
-        """BFS for S_sigma(x, c), noting whether it belongs to D."""
-        cols = self.pair.sigma.colors
-        v = self.pair.v
-        t = self.pair.t
-        base = cols[x]
-        nbrs_v = self.g.adj[v]
-        in_d = False
-        qual = None
-        if t == base or t == c:
-            qual = c if t == base else base
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                want = c if cols[w] == base else base
-                for z in self.g.adj[w]:
-                    if cols[z] == want and z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        if v in seen:
-            in_d = True
-        elif qual is not None:
-            vn = set(nbrs_v)
-            in_d = any(w in vn and cols[w] == qual for w in seen)
-        return in_d, frozenset(seen)
 
     def step(self) -> Optional[CoupledMove]:
         """Advance one step; returns the applied move, or None for a no-op."""
@@ -697,21 +614,23 @@ class CoupledWalk:
 
         cols = self.pair.sigma.colors
         if c == cols[x]:
-            in_d, comp = True, None
+            in_d = True
         else:
-            in_d, comp = self._sigma_component_class(x, c)
+            comp = alternating_component(self.g, self.pair.sigma, x, c)
+            drawn = _mk_flip(comp, cols[x], c)
+            in_d = _touches_d(self.pair, drawn, self.pair.t, cols)
 
         if not in_d:
             alpha = len(comp)
             p = self.probs.mass_float(alpha)
             if p > 0 and u < p / alpha:
-                lo, hi = min(cols[x], c), max(cols[x], c)
+                _, lo, hi = drawn
                 sig = flip(self.pair.sigma, comp, lo, hi)
                 tau = flip(self.pair.tau, comp, lo, hi)
                 self.pair = NeighboringPair(self.g, sig, tau)
                 self.flips_applied += 1
                 self._dirty = True
-                return CoupledMove((comp, lo, hi), (comp, lo, hi), Fraction(0), False)
+                return CoupledMove(drawn, drawn, Fraction(0), False)
             return None
 
         if self._dirty:

@@ -47,6 +47,8 @@ class ExperimentConfig:
     workers: int = 0
 
     def __post_init__(self) -> None:
+        if not (0 <= self.seed < 2**64):
+            raise InputError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.replicas < 1:
             raise InputError("need replicas >= 1")
         if (self.construction is None) == (self.pair_file is None):
@@ -151,7 +153,11 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), replica]))
+    # An explicit uint64 key: a Python list would be cast through float64
+    # once seed >= 2**63 and alias neighboring seeds.
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
+    )
 
 
 # ---------------------------------------------------------------------------

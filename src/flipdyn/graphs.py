@@ -110,21 +110,12 @@ def hamming(a: Coloring, b: Coloring) -> int:
     return sum(1 for x, y in zip(a.colors, b.colors) if x != y)
 
 
-def alternating_component(
-    g: Graph,
-    col: Coloring,
-    v: int,
-    c: int,
-    size_cap: Optional[int] = None,
-) -> frozenset[int]:
+def alternating_component(g: Graph, col: Coloring, v: int, c: int) -> frozenset[int]:
     """Vertices reachable from v along strictly alternating {col(v), c} paths.
 
     Each step moves to a neighbor carrying the other color of the pair, so
     the colors along any path alternate col(v), c, col(v), ...  If
-    c == col(v) the component is empty.  With size_cap set, the search
-    stops early once more than size_cap vertices have been collected and
-    the partial set is returned; callers use this when only "size > cap"
-    matters.
+    c == col(v) the component is empty.
     """
     if not (0 <= v < g.n):
         raise InputError(f"vertex {v} out of range")
@@ -144,8 +135,6 @@ def alternating_component(
                 if cols[y] == want and y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if size_cap is not None and len(seen) > size_cap:
-                        return frozenset(seen)
         frontier = nxt
     return frozenset(seen)
 

@@ -402,9 +402,6 @@ def build_tight_lp() -> LPInstance:
     )
 
 
-BAD_TUPLES_NOTE = "two-entry shapes at the support edge rated lam_bad"
-
-
 def build_mixed_lp(
     n_max: int = 6,
     m_star: int = 3,

@@ -45,6 +45,7 @@ from flipdyn import (
     vigoda_vector,
 )
 from flipdyn.cli import main as cli_main
+from flipdyn.coupling import is_terminating
 from flipdyn.experiments import MetricSummary
 
 F = Fraction
@@ -116,7 +117,9 @@ def test_criterion_06_coupling_marginals_exhaustive(both_vectors):
     # The load-bearing coupling property: on every isomorphism class of
     # graphs with at most 4 vertices, every neighboring pair with at most
     # 4 colors, and both published vectors, each marginal of the coupled
-    # one-step distribution equals the single-chain distribution exactly.
+    # one-step distribution equals the single-chain distribution exactly,
+    # and every move's terminating flag matches is_terminating, which
+    # recomputes it from the move's flips.
     def flips_only(dist):
         return {key: m for key, m in dist.items() if key is not None and m != 0}
 
@@ -128,6 +131,7 @@ def test_criterion_06_coupling_marginals_exhaustive(both_vectors):
                 for pair in neighboring_pairs(g, k, ordered=False):
                     coupled = greedy_coupling_distribution(pair, probs)
                     assert coupled.total_mass() == 1
+                    assert all(m.terminating == is_terminating(pair, m) for m in coupled.moves)
                     for side in (pair.sigma, pair.tau):
                         key = (probs_idx, side.colors)
                         if key not in single_cache:

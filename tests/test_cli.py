@@ -164,6 +164,18 @@ class TestSimCommands:
         )
         assert code == 2
 
+    def test_seed_outside_uint64_exits_2(self, capsys):
+        for seed in ("-1", str(2**64)):
+            code, _, err = run(
+                [
+                    "sim", "couple", "--construction", "2", "--d", "3", "--k", "6",
+                    "--replicas", "10", "--seed", seed,
+                ],
+                capsys,
+            )
+            assert code == 2
+            assert "seed" in err
+
     def test_bad_stage_color_exits_2(self, capsys):
         code, _, err = run(
             [

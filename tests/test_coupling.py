@@ -5,13 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipdyn import (
     CapacityError,
     Coloring,
+    ConstructionSpec,
+    FlipProbabilities,
     Graph,
+    InputError,
     NeighboringPair,
     alt_vector,
+    alternating_component,
+    build_construction,
     expected_distance_change,
     flip_step_distribution,
     greedy_coupling_distribution,
@@ -21,7 +28,7 @@ from flipdyn import (
     variable_length_coupling,
     vigoda_vector,
 )
-from flipdyn.coupling import difference_sets
+from flipdyn.coupling import CoupledWalk, _difference_moves, difference_sets, is_terminating
 from flipdyn.graphs import hamming
 
 from conftest import neighboring_pairs
@@ -210,3 +217,129 @@ class TestVariableLengthCoupling:
             rec = variable_length_coupling(pair, mixed_vector(), rng)
             assert rec.t_stop == 1
             assert rec.final_distance == 0
+
+
+class _OneDraw:
+    """Stand-in generator whose every draw is (x, c) with coin u = 0."""
+
+    def __init__(self, x, c):
+        self.queue = [x, c]
+
+    def integers(self, high, size):
+        return np.full(size, self.queue.pop(0))
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def assert_walk_d_test_matches_labels(pair):
+    """For every sigma draw (x, c != sigma(x)), the walk treats the drawn
+    flip as part of D exactly when _difference_moves lists it among the
+    sigma-side flips of D.
+
+    Under p_alpha = 1/alpha every flip up to size n is accepted, so a
+    zero coin returns the identity-coupled flip for a draw outside D and
+    the first (terminating) move of D for a draw inside it.
+    """
+    probs = FlipProbabilities.from_values([F(1, a) for a in range(1, pair.graph.n + 1)])
+    _, labels = _difference_moves(pair, probs)
+    cols = pair.sigma.colors
+    for x in range(pair.graph.n):
+        for c in range(pair.k):
+            if c == cols[x]:
+                continue
+            comp = alternating_component(pair.graph, pair.sigma, x, c)
+            drawn = (comp, min(cols[x], c), max(cols[x], c))
+            move = CoupledWalk(pair, probs, _OneDraw(x, c)).step()
+            assert move is not None
+            assert move.terminating == (drawn in labels), (pair, x, c)
+            if not move.terminating:
+                assert move.sigma_flip == move.tau_flip == drawn
+
+
+class TestWalkDTest:
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_matches_difference_labels_on_constructions(self, index):
+        for d, k in ((2, 6) if index in (1, 4) else (3, 6), (6, 11)):
+            pair = build_construction(ConstructionSpec(index, d, k))
+            for p in (pair, NeighboringPair(pair.graph, pair.tau, pair.sigma)):
+                assert_walk_d_test_matches_labels(p)
+
+
+VECTORS = {"vigoda": vigoda_vector(), "alt": alt_vector(), "mixed": mixed_vector()}
+
+
+@st.composite
+def bounded_degree_pairs(draw, proper: bool):
+    """A neighboring pair on a random graph with n <= 10, max degree <= 4
+    and k <= 8; proper pairs get k >= max degree + 2 so v has a free
+    color."""
+    n = draw(st.integers(1, 10))
+    max_deg = draw(st.integers(1, 4))
+    k = draw(st.integers(max_deg + 2 if proper else 2, 8))
+    candidates = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(candidates), unique=True,
+                           min_size=min(len(candidates), 2 * n))) if candidates else []
+    deg = [0] * n
+    edges = []
+    for u, w in chosen:
+        if deg[u] < max_deg and deg[w] < max_deg:
+            edges.append((u, w))
+            deg[u] += 1
+            deg[w] += 1
+    g = Graph(n, edges)
+    if proper:
+        colors: list[int] = []
+        for w in range(n):
+            used = {colors[z] for z in g.adj[w] if z < w}
+            colors.append(draw(st.sampled_from([c for c in range(k) if c not in used])))
+    else:
+        colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    v = draw(st.integers(0, n - 1))
+    blocked = {colors[v]} | ({colors[z] for z in g.adj[v]} if proper else set())
+    t = draw(st.sampled_from([c for c in range(k) if c not in blocked]))
+    sigma = Coloring(tuple(colors), k)
+    return NeighboringPair(g, sigma, sigma.recolor({v: t}))
+
+
+def check_block_properties(pair, probs):
+    """Mass 1, exact marginals, the terminating oracle, and every block
+    built without an InvariantError."""
+    dist = greedy_coupling_distribution(pair, probs)
+    assert dist.total_mass() == 1
+    assert all(m.mass > 0 for m in dist.moves)
+    assert flips_only(dist.sigma_marginal()) == flips_only(
+        flip_step_distribution(pair.graph, pair.sigma, probs)
+    )
+    assert flips_only(dist.tau_marginal()) == flips_only(
+        flip_step_distribution(pair.graph, pair.tau, probs)
+    )
+    for m in dist.moves:
+        assert m.terminating == is_terminating(pair, m)
+    assert set(difference_sets(pair)) == set(range(pair.k))
+    for c in range(pair.k):
+        try:
+            signature(pair, c)
+        except InputError:
+            assert pair.delta(c) == 0 and c not in (pair.s, pair.t)
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+
+
+class TestBlockProperties:
+    @PROPERTY_SETTINGS
+    @given(pair=bounded_degree_pairs(proper=True), vec=st.sampled_from(sorted(VECTORS)))
+    def test_proper_pairs(self, pair, vec):
+        assert pair.is_proper_pair()
+        check_block_properties(pair, VECTORS[vec])
+
+    @PROPERTY_SETTINGS
+    @given(pair=bounded_degree_pairs(proper=False), vec=st.sampled_from(sorted(VECTORS)))
+    def test_improper_pairs(self, pair, vec):
+        check_block_properties(pair, VECTORS[vec])
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(pair=bounded_degree_pairs(proper=False))
+    def test_walk_d_test(self, pair):
+        assert_walk_d_test_matches_labels(pair)

@@ -1,6 +1,7 @@
 """Monte Carlo experiment harness: determinism, checks, degenerate cases."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,25 @@ class TestConfig:
             ExperimentConfig(
                 seed=1, replicas=0, construction=ConstructionSpec(2, 3, 6)
             )
+
+    def test_seed_outside_uint64_rejected(self):
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(InputError):
+                cfg(seed=seed)
+        assert cfg(seed=2**64 - 1).seed == 2**64 - 1
+
+    def test_top_seeds_do_not_alias(self, tmp_path):
+        # Each seed keys its own stream, with no float cast (and so no
+        # numpy cast warning) near the top of the uint64 range.
+        rows = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1):
+                path = tmp_path / f"{seed}.csv"
+                run_coupling_experiment(cfg(seed=seed, replicas=20, workers=1),
+                                        csv_path=str(path))
+                rows[seed] = path.read_text()
+        assert len(set(rows.values())) == 4
 
     def test_pair_file_requires_tau(self, tmp_path):
         path = str(tmp_path / "one.txt")

@@ -1,0 +1,175 @@
+"""Byte-for-byte goldens for the coupling structure and the sim commands.
+
+The files under tests/golden/ are committed data.  coupling.json holds one
+sha256 per group of pairs over everything the coupling derives from a
+pair: the move list (order, masses, flags), the sigma-side flips of D,
+difference_sets, signature for every color (s and t included), and the
+per-color states.  The sim/ files are the exact --json reports and CSVs of
+`flipdyn sim couple|stages|gamma` for fixed seeds; every run must
+reproduce them at one worker and at two.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from conftest import neighboring_pairs, nonisomorphic_graphs
+
+from flipdyn import (
+    Coloring,
+    ConstructionSpec,
+    Graph,
+    InputError,
+    NeighboringPair,
+    alt_vector,
+    build_construction,
+    classify_color,
+    difference_sets,
+    greedy_coupling_distribution,
+    mixed_vector,
+    signature,
+    state_counts,
+    vigoda_vector,
+)
+from flipdyn.cli import main as cli_main
+from flipdyn.coupling import _difference_moves
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+VECTORS = {"vigoda": vigoda_vector(), "alt": alt_vector(), "mixed": mixed_vector()}
+
+# (index, d, k) of the constructions whose pairs, both orientations, and
+# one-step successors at distance 1 are digested.
+CONSTRUCTIONS = [(1, 2, 6), (2, 3, 6), (3, 3, 6), (4, 2, 6), (1, 6, 11), (2, 6, 11),
+                 (3, 6, 11), (4, 6, 11)]
+
+SIM_RUNS = {
+    "couple-c2-d3-k6-seed4": ["sim", "couple", "--construction", "2", "--d", "3",
+                              "--k", "6", "--replicas", "150", "--seed", "4"],
+    "couple-c1-d6-k11-seed2p63m1": ["sim", "couple", "--construction", "1", "--d", "6",
+                                    "--k", "11", "--replicas", "64",
+                                    "--seed", str(2**63 - 1)],
+    "stages-c1-d2-k6-color2-seed8": ["sim", "stages", "--construction", "1", "--d", "2",
+                                     "--k", "6", "--color", "2", "--replicas", "200",
+                                     "--seed", "8"],
+    "gamma-c1-d6-k11-seed2": ["sim", "gamma", "--construction", "1", "--d", "6",
+                              "--k", "11", "--replicas", "120", "--seed", "2"],
+    "gamma-c3-d6-k11-seed1003": ["sim", "gamma", "--construction", "3", "--d", "6",
+                                 "--k", "11", "--replicas", "80", "--seed", "1003"],
+}
+
+
+def _flip(f) -> str:
+    if f is None:
+        return "-"
+    comp, lo, hi = f
+    return f"{sorted(comp)}:{lo}-{hi}"
+
+
+def _frac(x) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def pair_lines(pair: NeighboringPair):
+    """Everything the coupling derives from one pair, one text line each."""
+    yield f"pair {pair.sigma.colors} {pair.tau.colors}"
+    for name, probs in VECTORS.items():
+        dist = greedy_coupling_distribution(pair, probs)
+        for m in dist.moves:
+            yield (f"{name} {_flip(m.sigma_flip)} {_flip(m.tau_flip)} "
+                   f"{_frac(m.mass)} {int(m.terminating)}")
+        yield f"{name} noop {_frac(dist.noop_mass)}"
+    _, labels = _difference_moves(pair, VECTORS["vigoda"])
+    yield "labels " + " ".join(sorted(_flip(f) for f in labels))
+    for c, entries in difference_sets(pair).items():
+        yield f"D {c} " + " ".join(f"{label}={_flip(f)}" for label, f in entries)
+    for c in range(pair.k):
+        try:
+            yield repr(signature(pair, c))
+        except InputError:
+            yield f"signature {c} absent"
+        yield f"state {c} {classify_color(pair, c).value}"
+    yield repr(state_counts(pair))
+
+
+def digest(pairs) -> str:
+    h = hashlib.sha256()
+    for pair in pairs:
+        for line in pair_lines(pair):
+            h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def construction_pairs(index: int, d: int, k: int) -> list[NeighboringPair]:
+    pair = build_construction(ConstructionSpec(index, d, k))
+    out = [pair, NeighboringPair(pair.graph, pair.tau, pair.sigma)]
+    seen = set()
+    for m in greedy_coupling_distribution(pair, VECTORS["mixed"]).moves:
+        sig, tau = m.apply(pair)
+        key = (sig.colors, tau.colors)
+        if key in seen or sum(a != b for a, b in zip(*key)) != 1:
+            continue
+        seen.add(key)
+        out.append(NeighboringPair(pair.graph, sig, tau))
+    return out
+
+
+def random_pairs(seed: int, count: int) -> list[NeighboringPair]:
+    """Seeded random pairs on 5..8 vertices with 2..4 colors, mostly
+    improper: large enough for components that attach to v both ways next
+    to other classes of the disagreement block."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(5, 8)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        k = rng.randint(2, 4)
+        sigma = Coloring(tuple(rng.randrange(k) for _ in range(n)), k)
+        v = rng.randrange(n)
+        t = rng.choice([c for c in range(k) if c != sigma[v]])
+        out.append(NeighboringPair(Graph(n, edges), sigma, sigma.recolor({v: t})))
+    return out
+
+
+def coupling_groups():
+    """Group name -> zero-argument builder of that group's pairs."""
+    groups = {}
+    for n in (1, 2, 3):
+        for k in (2, 3, 4):
+            groups[f"corpus-n{n}-k{k}"] = (
+                lambda n=n, k=k: [p for g in nonisomorphic_graphs(n)
+                                  for p in neighboring_pairs(g, k)])
+    groups["random-n5to8-k2to4"] = lambda: random_pairs(2024, 400)
+    for index, d, k in CONSTRUCTIONS:
+        groups[f"construction-{index}-d{d}-k{k}"] = (
+            lambda spec=(index, d, k): construction_pairs(*spec))
+    return groups
+
+
+def run_sim(argv: list[str], tmp_path: Path, capsys) -> tuple[str, str]:
+    """(--json report, CSV) of one sim command."""
+    csv = tmp_path / "rows.csv"
+    code = cli_main(argv + ["--json", "--csv", str(csv)])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    return out, csv.read_text()
+
+
+@pytest.mark.parametrize("group", sorted(coupling_groups()))
+def test_coupling_digest(group):
+    expected = json.loads((GOLDEN / "coupling.json").read_text())
+    assert digest(coupling_groups()[group]()) == expected[group]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(SIM_RUNS))
+def test_sim_output(name, workers, tmp_path, capsys):
+    report, rows = run_sim(SIM_RUNS[name] + ["--workers", str(workers)], tmp_path, capsys)
+    assert report == (GOLDEN / "sim" / f"{name}.json").read_text()
+    assert rows == (GOLDEN / "sim" / f"{name}.csv").read_text()

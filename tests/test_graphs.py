@@ -94,14 +94,6 @@ class TestAlternatingComponent:
         g2 = Graph(3, [(0, 1), (0, 2)])
         assert alternating_component(g2, col, 0, 1) == frozenset({0, 2})
 
-    def test_size_cap(self):
-        g = path(6)
-        col = Coloring((0, 1, 0, 1, 0, 1), 2)
-        full = alternating_component(g, col, 0, 1)
-        assert full == frozenset(range(6))
-        capped = alternating_component(g, col, 0, 1, size_cap=2)
-        assert len(capped) == 3  # stops as soon as the cap is exceeded
-
     def test_input_validation(self):
         g = path(2)
         col = Coloring((0, 1), 2)
