@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a check failed, 2 input error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -99,6 +100,9 @@ def _cmd_lp_solve(args) -> int:
                 v: f"{x.numerator}/{x.denominator}"
                 for v, x in sorted(sol.assignment.items())
             },
+            "rounds": sol.rounds,
+            "active_constraints": sol.active_constraints,
+            "round_stats": [dataclasses.asdict(r) for r in sol.round_stats],
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

@@ -51,6 +51,10 @@ class ExperimentConfig:
             raise InputError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.replicas < 1:
             raise InputError("need replicas >= 1")
+        if self.workers < 0:
+            raise InputError(f"need workers >= 0 (0 = automatic), got {self.workers}")
+        if self.step_cap is not None and self.step_cap < 1:
+            raise InputError(f"need step_cap >= 1, got {self.step_cap}")
         if (self.construction is None) == (self.pair_file is None):
             raise InputError("exactly one of construction or pair_file is required")
 

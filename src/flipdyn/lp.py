@@ -257,12 +257,29 @@ class LPInstance:
 
 
 @dataclass(frozen=True)
+class RoundStats:
+    """The work of one constraint-generation round, as counts only.
+
+    confirmed counts the family tuples found violated in exact arithmetic:
+    among the float candidates, or by the exact certification pass when
+    the float scan confirms none.
+    """
+
+    active_rows: int
+    candidates: int
+    confirmed: int
+    phase1_pivots: int
+    phase2_pivots: int
+
+
+@dataclass(frozen=True)
 class LPSolution:
     status: str
     objective_value: Optional[Fraction]
     assignment: dict[str, Fraction]
     rounds: int = 0
     active_constraints: int = 0
+    round_stats: tuple[RoundStats, ...] = ()
 
 
 def _structural(
@@ -520,6 +537,7 @@ def solve(lp: LPInstance, max_rounds: int = 200) -> LPSolution:
     added_labels: set[str] = set()
     objective = {lp.objective_var: Fraction(1)}
     rounds = 0
+    stats: list[RoundStats] = []
     while True:
         rounds += 1
         if rounds > max_rounds:
@@ -527,9 +545,16 @@ def solve(lp: LPInstance, max_rounds: int = 200) -> LPSolution:
         res: SimplexResult = solve_simplex(
             lp.variables, [(dict(c.coeffs), c.rel, c.rhs) for c in active], objective
         )
+
+        def record(candidates: int, confirmed: int) -> tuple[RoundStats, ...]:
+            stats.append(RoundStats(len(active), candidates, confirmed,
+                                    res.phase1_pivots, res.phase2_pivots))
+            return tuple(stats)
+
         if res.status != "optimal":
             return LPSolution(status=res.status, objective_value=None, assignment={},
-                              rounds=rounds, active_constraints=len(active))
+                              rounds=rounds, active_constraints=len(active),
+                              round_stats=record(0, 0))
         assignment = res.assignment
         n_max = lp.meta.get("n_max", 0)
         pf = [0.0] * (n_max + 2)
@@ -560,9 +585,12 @@ def solve(lp: LPInstance, max_rounds: int = 200) -> LPSolution:
                     assignment=assignment,
                     rounds=rounds,
                     active_constraints=len(active),
+                    round_stats=record(len(candidates), 0),
                 )
+            record(len(candidates), len(exact_violations))
             to_add = [(0.0, fam, t) for fam, t in exact_violations[:50]]
         else:
+            record(len(candidates), len(confirmed))
             confirmed.sort(key=lambda e: -e[0])
             to_add = confirmed[:50]
 

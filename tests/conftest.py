@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from fractions import Fraction
 
@@ -55,6 +56,36 @@ def neighboring_pairs(g: Graph, k: int, ordered: bool = True):
                 if t == s or (not ordered and t < s):
                     continue
                 yield NeighboringPair(g, sigma, sigma.recolor({v: t}))
+
+
+@contextlib.contextmanager
+def simplex_calls():
+    """Record every solve_simplex call that lp.solve makes.
+
+    Yields a list that gains one dict per call: "args" (variables,
+    constraints, objective), "result", and "pivots", the (entering column,
+    leaving basic column) of each pivot in order.
+    """
+    import flipdyn.lp as lp
+    import flipdyn.simplex as simplex
+
+    calls: list[dict] = []
+    solve, pivot = lp.solve_simplex, simplex._pivot
+
+    def traced_pivot(rows, dens, basis, r, e):
+        calls[-1]["pivots"].append((e, basis[r]))
+        pivot(rows, dens, basis, r, e)
+
+    def traced_solve(*args):
+        calls.append({"args": args, "pivots": []})
+        calls[-1]["result"] = solve(*args)
+        return calls[-1]["result"]
+
+    lp.solve_simplex, simplex._pivot = traced_solve, traced_pivot
+    try:
+        yield calls
+    finally:
+        lp.solve_simplex, simplex._pivot = solve, pivot
 
 
 @pytest.fixture(scope="session")

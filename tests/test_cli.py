@@ -32,6 +32,13 @@ class TestLpCommands:
         assert code == 0
         payload = json.loads(out[: out.index("solution written")])
         assert payload["objective"] == "11/6"
+        # the solve's work, as counts: one round of 17 rows, no candidates
+        assert payload["rounds"] == 1
+        assert payload["active_constraints"] == 17
+        assert payload["round_stats"] == [
+            {"active_rows": 17, "candidates": 0, "confirmed": 0,
+             "phase1_pivots": 17, "phase2_pivots": 3}
+        ]
         assert json.load(open(out_path))["status"] == "optimal"
 
     def test_build_writes_lp_and_sidecar(self, tmp_path, capsys):
@@ -175,6 +182,18 @@ class TestSimCommands:
             )
             assert code == 2
             assert "seed" in err
+
+    def test_bad_step_cap_or_workers_exits_2(self, capsys):
+        for flags in (["--step-cap", "-5"], ["--step-cap", "0"], ["--workers", "-3"]):
+            code, _, err = run(
+                [
+                    "sim", "couple", "--construction", "2", "--d", "3", "--k", "6",
+                    "--replicas", "10", "--json", *flags,
+                ],
+                capsys,
+            )
+            assert code == 2
+            assert flags[0].strip("-").replace("-", "_") in err
 
     def test_bad_stage_color_exits_2(self, capsys):
         code, _, err = run(

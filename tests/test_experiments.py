@@ -51,6 +51,19 @@ class TestConfig:
                 cfg(seed=seed)
         assert cfg(seed=2**64 - 1).seed == 2**64 - 1
 
+    def test_negative_workers_rejected(self):
+        for workers in (-1, -3):
+            with pytest.raises(InputError, match="workers"):
+                cfg(workers=workers)
+        assert cfg(workers=0).workers == 0
+
+    def test_step_cap_below_one_rejected(self):
+        for cap in (0, -5):
+            with pytest.raises(InputError, match="step_cap"):
+                cfg(step_cap=cap)
+        assert cfg(step_cap=1).step_cap == 1
+        assert cfg().step_cap is None
+
     def test_top_seeds_do_not_alias(self, tmp_path):
         # Each seed keys its own stream, with no float cast (and so no
         # numpy cast warning) near the top of the uint64 range.

@@ -1,12 +1,15 @@
-"""Byte-for-byte goldens for the coupling structure and the sim commands.
+"""Byte-for-byte goldens for the coupling, the simplex and the sim commands.
 
 The files under tests/golden/ are committed data.  coupling.json holds one
 sha256 per group of pairs over everything the coupling derives from a
 pair: the move list (order, masses, flags), the sigma-side flips of D,
 difference_sets, signature for every color (s and t included), and the
-per-color states.  The sim/ files are the exact --json reports and CSVs of
-`flipdyn sim couple|stages|gamma` for fixed seeds; every run must
-reproduce them at one worker and at two.
+per-color states.  simplex.json holds, for every solve_simplex call that
+lp.solve makes on six programs, the pivot counts, the final basis and a
+sha256 of the pivot sequence, captured from the dense rational solver
+that tests/reference_simplex.py keeps.  The sim/ files are the exact
+--json reports and CSVs of `flipdyn sim couple|stages|gamma` for fixed
+seeds; every run must reproduce them at one worker and at two.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import neighboring_pairs, nonisomorphic_graphs
+from conftest import neighboring_pairs, nonisomorphic_graphs, simplex_calls
 
 from flipdyn import (
     Coloring,
@@ -29,11 +32,15 @@ from flipdyn import (
     NeighboringPair,
     alt_vector,
     build_construction,
+    build_mixed_lp,
+    build_tight_lp,
+    build_vigoda_lp,
     classify_color,
     difference_sets,
     greedy_coupling_distribution,
     mixed_vector,
     signature,
+    solve,
     state_counts,
     vigoda_vector,
 )
@@ -62,6 +69,17 @@ SIM_RUNS = {
                               "--k", "11", "--replicas", "120", "--seed", "2"],
     "gamma-c3-d6-k11-seed1003": ["sim", "gamma", "--construction", "3", "--d", "6",
                                  "--k", "11", "--replicas", "80", "--seed", "1003"],
+}
+
+
+# Programs whose simplex calls are pinned in simplex.json.
+SIMPLEX_PROGRAMS = {
+    "tight": build_tight_lp,
+    "tight-without-tight/4": lambda: build_tight_lp().without("tight/4"),
+    "vigoda-n6-m2": lambda: build_vigoda_lp(6, 2),
+    "vigoda-n6-m3": lambda: build_vigoda_lp(6, 3),
+    "vigoda-n7-m3": lambda: build_vigoda_lp(7, 3),
+    "mixed-n6-m3-gamma25.597784": lambda: build_mixed_lp(6, 3),
 }
 
 
@@ -152,6 +170,21 @@ def coupling_groups():
     return groups
 
 
+def simplex_record(call) -> dict:
+    """One simplex call in the form of simplex.json's entries."""
+    res = call["result"]
+    pivots = "".join(f"{e} {leaving}\n" for e, leaving in call["pivots"])
+    return {
+        "rows": len(call["args"][1]),
+        "status": res.status,
+        "objective": None if res.objective is None else _frac(res.objective),
+        "phase1_pivots": res.phase1_pivots,
+        "phase2_pivots": res.phase2_pivots,
+        "pivots_sha256": hashlib.sha256(pivots.encode()).hexdigest(),
+        "basis": list(res.basis),
+    }
+
+
 def run_sim(argv: list[str], tmp_path: Path, capsys) -> tuple[str, str]:
     """(--json report, CSV) of one sim command."""
     csv = tmp_path / "rows.csv"
@@ -165,6 +198,17 @@ def run_sim(argv: list[str], tmp_path: Path, capsys) -> tuple[str, str]:
 def test_coupling_digest(group):
     expected = json.loads((GOLDEN / "coupling.json").read_text())
     assert digest(coupling_groups()[group]()) == expected[group]
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLEX_PROGRAMS))
+def test_simplex_pivot_path(name):
+    expected = json.loads((GOLDEN / "simplex.json").read_text())["programs"][name]
+    with simplex_calls() as calls:
+        solve(SIMPLEX_PROGRAMS[name]())
+    for call in calls:
+        assert len(call["pivots"]) == (call["result"].phase1_pivots
+                                       + call["result"].phase2_pivots)
+    assert [simplex_record(c) for c in calls] == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import simplex_calls
+
 from flipdyn import (
     InputError,
     alt_vector,
@@ -200,6 +202,21 @@ class TestOneStepProgram:
         # differently and the program relaxes to exactly 15/8.
         sol = solve(build_vigoda_lp(6, 2))
         assert sol.objective_value == F(15, 8)
+
+    def test_round_stats(self):
+        # One record per round: rows handed to the simplex, float
+        # candidates, exactly confirmed violations and the pivot counts.
+        with simplex_calls() as calls:
+            sol = solve(build_vigoda_lp(6, 2))
+        stats = sol.round_stats
+        assert len(stats) == sol.rounds == len(calls) == 2
+        assert stats[-1].active_rows == sol.active_constraints
+        assert [(r.active_rows, r.phase1_pivots, r.phase2_pivots) for r in stats] == [
+            (len(c["args"][1]), c["result"].phase1_pivots, c["result"].phase2_pivots)
+            for c in calls
+        ]
+        assert stats[0].candidates >= stats[0].confirmed > 0
+        assert stats[-1].confirmed == 0
 
     def test_m_star_four_stays_11_6(self):
         # Adding all size-3 blocks does not move the optimum: the

@@ -1,0 +1,158 @@
+"""The integer simplex against the dense rational oracle.
+
+tests/reference_simplex.py is the earlier dense Fraction solver.  Both
+apply Bland's rule to the same column layout, so on every program they
+must agree on more than the optimum: the status, the assignment, the
+final basis, the pivot counts and every single pivot.
+"""
+
+from __future__ import annotations
+
+import collections
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import flipdyn.lp as lp_mod
+import reference_simplex
+from conftest import simplex_calls
+from flipdyn import InputError, build_tight_lp, build_vigoda_lp, solve
+from flipdyn.simplex import solve_simplex
+
+F = Fraction
+
+# Zero is drawn often so that degenerate vertices and ratio-test ties are common.
+SMALL = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@st.composite
+def small_programs(draw):
+    """(variables, constraints, objective) with <= 8 variables and <= 12 rows.
+
+    Coefficients are integers in [-3, 3], each row divided by a drawn
+    denominator in 1..3; relations mix <= and ==.  A row's rhs is drawn
+    from [-3, 3] too, or, in programs anchored at a drawn point x0 >= 0,
+    set to a.x0 for == and a.x0 + 0..2 for <=, so that about half the
+    programs are feasible and reach phase 2.
+    """
+    n = draw(st.integers(1, 8))
+    variables = [f"v{i}" for i in range(n)]
+    x0 = draw(st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    constraints = []
+    for _ in range(draw(st.integers(0, 12))):
+        den = draw(st.integers(1, 3))
+        used = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+        coeffs = {variables[j]: F(draw(SMALL), den) for j in used}
+        rel = draw(st.sampled_from(["<=", "=="]))
+        if x0 is None:
+            rhs = F(draw(SMALL), den)
+        else:
+            rhs = sum((c * x0[j] for j, c in zip(used, coeffs.values())), F(0))
+            if rel == "<=":
+                rhs += draw(st.integers(0, 2))
+        constraints.append((coeffs, rel, rhs))
+        if draw(st.integers(0, 5)) == 0:
+            # a redundant copy of the row, scaled
+            k = draw(st.integers(1, 2))
+            constraints.append(({v: k * c for v, c in coeffs.items()}, rel, k * rhs))
+    used = draw(st.lists(st.sampled_from(variables), max_size=n, unique=True))
+    objective = {v: F(draw(SMALL)) for v in used}
+    return variables, constraints, objective
+
+
+def solve_traced(variables, constraints, objective):
+    """The integer solver's result and its pivots, through lp's entry point."""
+    with simplex_calls() as calls:
+        lp_mod.solve_simplex(variables, constraints, objective)
+    return calls[0]["result"], calls[0]["pivots"]
+
+
+def test_matches_reference_on_small_degenerate_programs():
+    seen = collections.Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(prog=small_programs())
+    def check(prog):
+        variables, constraints, objective = prog
+        trace: list[tuple[int, int]] = []
+        expected = reference_simplex.solve_simplex(variables, constraints, objective,
+                                                   trace=trace)
+        got, pivots = solve_traced(variables, constraints, objective)
+        assert got == expected
+        assert pivots == trace
+        seen[got.status] += 1
+        # an artificial still basic at the optimum marks a redundant == row
+        art_start = len(variables) + sum(1 for _, rel, _ in constraints if rel == "<=")
+        if got.status == "optimal" and any(b >= art_start for b in got.basis):
+            seen["redundant"] += 1
+        if got.phase1_pivots and got.phase2_pivots:
+            seen["both phases"] += 1
+
+    check()
+    for outcome in ("optimal", "infeasible", "unbounded", "redundant", "both phases"):
+        assert seen[outcome] >= 10, seen
+
+
+@pytest.mark.parametrize("build", [build_tight_lp, lambda: build_vigoda_lp(6, 2)],
+                         ids=["tight", "vigoda-n6-m2"])
+def test_replays_lp_solve_calls(build):
+    with simplex_calls() as calls:
+        solve(build())
+    assert calls
+    for call in calls:
+        trace: list[tuple[int, int]] = []
+        assert reference_simplex.solve_simplex(*call["args"], trace=trace) == call["result"]
+        assert trace == call["pivots"]
+
+
+def test_phase_one_lets_an_artificial_reenter():
+    # Bland's rule in phase 1 ranges over every column, the artificials
+    # included: artificial 5 leaves on the first pivot and enters again on
+    # the third.  About 1% of random small programs take such a pivot.
+    constraints = [
+        ({"v0": F(-1)}, "==", F(0)),
+        ({"v0": F(-2), "v1": F(-2)}, "==", F(-3)),
+        ({"v0": F(-1), "v1": F(2)}, "==", F(2)),
+        ({"v0": F(-2)}, "==", F(-2)),
+        ({"v1": F(1)}, "==", F(2)),
+    ]
+    objective = {"v0": F(-2), "v1": F(-3)}
+    got, pivots = solve_traced(["v0", "v1"], constraints, objective)
+    assert pivots == [(0, 5), (1, 3), (5, 4)]
+    assert (got.status, got.phase1_pivots, got.basis) == ("infeasible", 3, (2, 1, 5, 0, 6))
+    trace: list[tuple[int, int]] = []
+    assert reference_simplex.solve_simplex(["v0", "v1"], constraints, objective,
+                                           trace=trace) == got
+    assert trace == pivots
+
+
+def test_no_constraints():
+    assert solve_simplex(["a"], [], {"a": F(-1)}).status == "unbounded"
+    res = solve_simplex(["a", "b"], [], {"a": F(1)})
+    assert (res.status, res.objective, res.assignment) == ("optimal", 0, {"a": 0, "b": 0})
+
+
+def test_fractional_input_stays_exact():
+    # minimize -a - b with a/3 + b/7 <= 1/2 and a <= 1/5: b is the cheaper
+    # use of the first row, so a = 0 and b = 7/2
+    res = solve_simplex(
+        ["a", "b"],
+        [({"a": F(1, 3), "b": F(1, 7)}, "<=", F(1, 2)), ({"a": F(1)}, "<=", F(1, 5))],
+        {"a": F(-1), "b": F(-1)},
+    )
+    assert res.status == "optimal"
+    assert res.assignment == {"a": F(0), "b": F(7, 2)}
+    assert res.objective == F(-7, 2)
+
+
+def test_input_errors():
+    with pytest.raises(InputError):
+        solve_simplex(["a", "a"], [], {})
+    with pytest.raises(InputError):
+        solve_simplex(["a"], [({"a": F(1)}, ">=", F(0))], {})
+    with pytest.raises(InputError):
+        solve_simplex(["a"], [({"b": F(1)}, "<=", F(0))], {})
+    with pytest.raises(InputError):
+        solve_simplex(["a"], [], {"b": F(1)})
