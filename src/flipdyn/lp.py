@@ -28,10 +28,25 @@ keeps them symbolically: solving works by constraint generation against
 an exact rational simplex, and a final exact feasibility pass over every
 tuple certifies the optimum.  A float cross-check against scipy's
 linprog on the fully expanded program is available separately.
+
+Each HFamily builds, on first use, one TupleTable: its tuples in
+enumeration order as int8 numpy columns (a, b, A, B, the argmax indices
+and an index into the family's lam variables).  Three passes read it,
+evaluating the min-form of H column by column in the operation order of
+h_value.  The float scan does so in float64, so its violations are
+bit-identical to a per-tuple float loop; their order decides which
+candidates enter the working set and hence the simplex's pivot path.
+The certification pass in solve and slack_report do so exactly in
+integers: p and the lam variables are scaled to L, the lcm of their
+denominators, and each tuple's slack is an integer over L, computed in
+int64 when a bound on every intermediate fits and in Python ints
+otherwise.  h_value and HFamily.tuple_slack stay the per-tuple reference;
+solve uses tuple_slack only to confirm the float candidates.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import re
@@ -136,6 +151,7 @@ class HFamily:
         self.n_max = n_max
         self.lam_var_for = lam_var_for
         self.label_for = label_for or self.default_label
+        self._table: Optional[TupleTable] = None
 
     def default_label(self, a, b, A, B) -> str:
         astr = ",".join(map(str, a))
@@ -195,33 +211,130 @@ class HFamily:
         return out
 
     def tuple_slack(self, a, b, A, B, assignment: dict[str, Fraction]) -> Fraction:
+        """Exact slack of one tuple through h_value: the readable reference."""
         pvals = [assignment.get(_pvar(i), ZERO) for i in range(1, self.n_max + 1)]
         lam = assignment.get(self.lam_var_for(a, b, A, B), ZERO)
         return (-1 + self.m * lam) - h_value(pvals, A, B, a, b)
 
+    @property
+    def table(self) -> "TupleTable":
+        """The family's tuples as compact columns, built on first use."""
+        if self._table is None:
+            self._table = TupleTable.build(self)
+        return self._table
+
+    def _h_columns(self, pv, work):
+        """H at every tuple of the table, as a column of dtype work.
+
+        pv[alpha] is p_alpha for alpha in 0..n_max + 1 (zero at both
+        ends).  The operations are those of h_value, elementwise and in
+        the same order, so a float64 column repeats the per-tuple float
+        loop bit for bit and an integer column is exact.
+        """
+        import numpy as np
+
+        t = self.table
+        pA, pB = pv[t.A], pv[t.B]
+        h = (t.A.astype(work) - t.a.max(axis=1).astype(work) - 1) * pA
+        h += (t.B.astype(work) - t.b.max(axis=1).astype(work) - 1) * pB
+        for i in range(self.m):
+            q = pv[t.a[:, i]]
+            q -= np.where(t.i_max == i, pA, 0)
+            qp = pv[t.b[:, i]]
+            qp -= np.where(t.j_max == i, pB, 0)
+            term = t.a[:, i].astype(work) * q
+            term += t.b[:, i].astype(work) * qp
+            term -= np.where(qp < q, qp, q)  # min(q, qp), ties to q
+            h += term
+        return h
+
+    def scaled_slacks(self, assignment: dict[str, Fraction]):
+        """(L, s) with s[k] = L * the exact slack of tuple k, in table order.
+
+        L is the lcm of the denominators of p_1..p_n and the family's lam
+        variables, so every slack is an integer over L.  The column is
+        int64 when a bound on every intermediate fits, Python ints in an
+        object array otherwise.
+        """
+        import numpy as np
+
+        t, m, n = self.table, self.m, self.n_max
+        pvals = [Fraction(assignment.get(_pvar(i), ZERO)) for i in range(1, n + 1)]
+        lams = [Fraction(assignment.get(v, ZERO)) for v in t.lam_names]
+        L = math.lcm(*(x.denominator for x in pvals + lams))
+        P = [0] + [x.numerator * (L // x.denominator) for x in pvals] + [0]
+        lam_L = [x.numerator * (L // x.denominator) for x in lams]
+        bound = (L + m * max(map(abs, lam_L), default=0)
+                 + (2 * (n + 1) + m * (4 * n + 2)) * max(map(abs, P)))
+        work = np.int64 if bound < 2**62 else object
+        s = np.array(lam_L, dtype=work)[t.lam]
+        s *= m
+        s -= L
+        s -= self._h_columns(np.array(P, dtype=work), work)
+        return L, s
+
     def scan(
         self, pf: list[float], lam_of: dict[str, float], tol: float
     ) -> list[tuple[float, tuple]]:
-        """Float pre-scan; returns (violation, tuple) with violation > tol."""
-        m = self.m
-        out = []
+        """Float pre-scan; returns (violation, tuple) with violation > tol.
 
-        def pfv(alpha: int) -> float:
-            return pf[alpha] if 0 <= alpha < len(pf) else 0.0
+        pf[alpha] is p_alpha (zero beyond the list); violations are
+        bit-identical to the per-tuple float loop and come in tuple order.
+        """
+        import numpy as np
 
-        for a, b, A, B in self.tuples():
+        t, n = self.table, self.n_max
+        pv = np.zeros(n + 2)
+        size = min(len(pf), n + 2)
+        pv[:size] = pf[:size]
+        viol = self._h_columns(pv, np.float64)
+        viol -= np.array([-1.0 + self.m * lam_of[v] for v in t.lam_names])[t.lam]
+        hits = np.flatnonzero(viol > tol)
+        return [(v, t.tuple_at(k)) for k, v in zip(hits.tolist(), viol[hits].tolist())]
+
+
+@dataclass(frozen=True, eq=False)
+class TupleTable:
+    """One family's tuples (a, b, A, B) as numpy columns, in tuples() order.
+
+    a and b are (T, m); A, B, the argmax indices i_max, j_max (lowest
+    index attaining the max) and lam, an index into lam_names, are (T,).
+    All are int8 (int16 beyond support 126).
+    """
+
+    a: "np.ndarray"
+    b: "np.ndarray"
+    A: "np.ndarray"
+    B: "np.ndarray"
+    i_max: "np.ndarray"
+    j_max: "np.ndarray"
+    lam: "np.ndarray"
+    lam_names: tuple[str, ...]
+
+    @classmethod
+    def build(cls, fam: HFamily) -> "TupleTable":
+        import numpy as np
+        from array import array
+
+        m = fam.m
+        code, dtype = ("b", np.int8) if fam.n_max < 127 else ("h", np.int16)
+        flat = array(code)
+        lam_index: dict[str, int] = {}
+        for a, b, A, B in fam.tuples():
             i_max = max(range(m), key=lambda i: (a[i], -i))
             j_max = max(range(m), key=lambda i: (b[i], -i))
-            pA, pB = pfv(A), pfv(B)
-            h = (A - a[i_max] - 1) * pA + (B - b[j_max] - 1) * pB
-            for i in range(m):
-                q = pfv(a[i]) - (pA if i == i_max else 0.0)
-                qp = pfv(b[i]) - (pB if i == j_max else 0.0)
-                h += a[i] * q + b[i] * qp - min(q, qp)
-            rhs = -1.0 + m * lam_of[self.lam_var_for(a, b, A, B)]
-            if h - rhs > tol:
-                out.append((h - rhs, (a, b, A, B)))
-        return out
+            lam = lam_index.setdefault(fam.lam_var_for(a, b, A, B), len(lam_index))
+            flat.extend(a)
+            flat.extend(b)
+            flat.extend((A, B, i_max, j_max, lam))
+        rows = np.frombuffer(flat, dtype=dtype).reshape(-1, 2 * m + 5)
+        cols = [np.ascontiguousarray(rows[:, j]) for j in range(2 * m, 2 * m + 5)]
+        return cls(np.ascontiguousarray(rows[:, :m]), np.ascontiguousarray(rows[:, m:2 * m]),
+                   *cols, lam_names=tuple(lam_index))
+
+    def tuple_at(self, k: int) -> tuple[tuple, tuple, int, int]:
+        return (tuple(self.a[k].tolist()), tuple(self.b[k].tolist()),
+                int(self.A[k]), int(self.B[k]))
 
 
 @dataclass
@@ -515,11 +628,13 @@ def build_mixed_lp(
 def _violated_family_tuples_exact(
     lp: LPInstance, assignment: dict[str, Fraction]
 ) -> list[tuple[HFamily, tuple]]:
+    """Every family tuple with negative exact slack, in tuple order."""
+    import numpy as np
+
     out = []
     for fam in lp.families:
-        for a, b, A, B in fam.tuples():
-            if fam.tuple_slack(a, b, A, B, assignment) < 0:
-                out.append((fam, (a, b, A, B)))
+        _, s = fam.scaled_slacks(assignment)
+        out.extend((fam, fam.table.tuple_at(k)) for k in np.flatnonzero(s < 0).tolist())
     return out
 
 
@@ -632,7 +747,8 @@ def slack_report(lp: LPInstance, assignment: dict[str, Fraction]) -> SlackReport
 
     Structural constraints report their own slack.  Family constraints
     are reported per tuple: the slack is rhs minus the exact block cost
-    h_value, i.e. the minimum over the tuple's branches.
+    h_value, i.e. the minimum over the tuple's branches, taken from the
+    family's integer slacks over L.
     """
     slacks: dict[str, Fraction] = {}
     tight: list[str] = []
@@ -651,10 +767,10 @@ def slack_report(lp: LPInstance, assignment: dict[str, Fraction]) -> SlackReport
             elif s == 0:
                 tight.append(c.label)
     for fam in lp.families:
-        for a, b, A, B in fam.tuples():
-            s = fam.tuple_slack(a, b, A, B, assignment)
-            label = fam.label_for(a, b, A, B)
-            slacks[label] = s
+        L, scaled = fam.scaled_slacks(assignment)
+        for t, s in zip(fam.tuples(), scaled.tolist()):
+            label = fam.label_for(*t)
+            slacks[label] = Fraction(s, L)
             if s < 0:
                 violated.append(label)
             elif s == 0:
@@ -807,8 +923,25 @@ def mixing_time_bound(
     beta = Fraction(n * k, k - d - 2)
     w = 2 * n_max + 1
     first = -((-2 * beta * w) // alpha)  # exact ceil of a Fraction ratio
-    x = math.log(n) / float(alpha)
-    near = round(x)
-    second = near if abs(x - near) < 1e-9 else math.ceil(x)
-    second = max(second, 1)
-    return 2 * int(first) * int(second)
+    return 2 * int(first) * _ceil_ln_over(n, alpha)
+
+
+def _ceil_ln_over(n: int, alpha: Fraction) -> int:
+    """ceil(ln n / alpha) for n >= 2 and rational alpha > 0.
+
+    ln n is irrational, so the ratio is never an integer: the answer is
+    the smallest s >= 1 with s * alpha > ln n.  A correctly rounded
+    Decimal brackets ln n to within one ulp; the precision doubles until
+    s * alpha clears the bracket.
+    """
+    digits = 60
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            ln_dec = decimal.Decimal(n).ln()
+        ln = Fraction(ln_dec)
+        err = Fraction(10) ** (ln_dec.adjusted() - digits + 1)  # one ulp
+        s = max(1, math.ceil((ln - err) / alpha))
+        if s * alpha > ln + err:
+            return s
+        digits *= 2

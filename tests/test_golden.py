@@ -5,9 +5,12 @@ sha256 per group of pairs over everything the coupling derives from a
 pair: the move list (order, masses, flags), the sigma-side flips of D,
 difference_sets, signature for every color (s and t included), and the
 per-color states.  simplex.json holds, for every solve_simplex call that
-lp.solve makes on six programs, the pivot counts, the final basis and a
+lp.solve makes on seven programs, the pivot counts, the final basis and a
 sha256 of the pivot sequence, captured from the dense rational solver
-that tests/reference_simplex.py keeps.  The sim/ files are the exact
+that tests/reference_simplex.py keeps.  slack.json holds one sha256 per
+slack_report case over every slack in insertion order and the tight and
+violated labels, captured from the per-tuple Fraction evaluation through
+HFamily.tuple_slack.  The sim/ files are the exact
 --json reports and CSVs of `flipdyn sim couple|stages|gamma` for fixed
 seeds; every run must reproduce them at one worker and at two.
 """
@@ -18,6 +21,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,9 +41,11 @@ from flipdyn import (
     build_vigoda_lp,
     classify_color,
     difference_sets,
+    extend_assignment,
     greedy_coupling_distribution,
     mixed_vector,
     signature,
+    slack_report,
     solve,
     state_counts,
     vigoda_vector,
@@ -79,7 +85,18 @@ SIMPLEX_PROGRAMS = {
     "vigoda-n6-m2": lambda: build_vigoda_lp(6, 2),
     "vigoda-n6-m3": lambda: build_vigoda_lp(6, 3),
     "vigoda-n7-m3": lambda: build_vigoda_lp(7, 3),
+    "vigoda-n6-m4": lambda: build_vigoda_lp(6, 4),
     "mixed-n6-m3-gamma25.597784": lambda: build_mixed_lp(6, 3),
+}
+
+# Slack reports pinned in slack.json: program, vector and rate of each case.
+# The last case sits below the threshold, so its violated list is nonempty.
+SLACK_CASES = {
+    "vigoda-n7-alt-11/6": (lambda: build_vigoda_lp(7, 3), "alt", Fraction(11, 6)),
+    "vigoda-n6-vigoda-11/6": (lambda: build_vigoda_lp(6, 3), "vigoda", Fraction(11, 6)),
+    "mixed-n6-mixed-optimum": (lambda: build_mixed_lp(6, 3), "mixed",
+                               Fraction(402041483, 219306718)),
+    "vigoda-n7-alt-9/5": (lambda: build_vigoda_lp(7, 3), "alt", Fraction(9, 5)),
 }
 
 
@@ -170,6 +187,22 @@ def coupling_groups():
     return groups
 
 
+def slack_record(report) -> dict:
+    """One slack report in the form of slack.json's entries: the sha256 over
+    every slack in insertion order as 'label=n/d' lines, then the tight and
+    the violated labels, plus the three counts."""
+    lines = [f"{label}={_frac(s)}" for label, s in report.slacks.items()]
+    lines += [f"tight {label}" for label in report.tight]
+    lines += [f"violated {label}" for label in report.violated]
+    text = "".join(line + "\n" for line in lines)
+    return {
+        "slacks": len(report.slacks),
+        "tight": len(report.tight),
+        "violated": len(report.violated),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
 def simplex_record(call) -> dict:
     """One simplex call in the form of simplex.json's entries."""
     res = call["result"]
@@ -209,6 +242,15 @@ def test_simplex_pivot_path(name):
         assert len(call["pivots"]) == (call["result"].phase1_pivots
                                        + call["result"].phase2_pivots)
     assert [simplex_record(c) for c in calls] == expected
+
+
+@pytest.mark.parametrize("name", sorted(SLACK_CASES))
+def test_slack_report(name):
+    expected = json.loads((GOLDEN / "slack.json").read_text())["cases"][name]
+    build, vector, lam = SLACK_CASES[name]
+    inst = build()
+    report = slack_report(inst, extend_assignment(inst, VECTORS[vector], lam))
+    assert slack_record(report) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])

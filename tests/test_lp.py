@@ -1,5 +1,6 @@
 """Linear programs: block costs, builders, exact solver, mixing bound."""
 
+import decimal
 import itertools
 import json
 import math
@@ -349,6 +350,19 @@ class TestMixingTimeBound:
             second = math.ceil(math.log(n) / float(alpha))
             expected = 2 * first * second
             assert mixing_time_bound(n, 221, 119, self.LAM, 6) == expected
+
+    def test_ceiling_just_above_an_integer(self):
+        # This rate puts ln(1000)/alpha about 1e-12 above 243, where a
+        # float ratio cannot tell it from 243 itself; the ceiling is 244.
+        lam = F("1.833254641633011348")
+        alpha = (221 - lam * 119) / 100
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            excess = decimal.Decimal(1000).ln() * alpha.denominator / alpha.numerator - 243
+        assert decimal.Decimal("1e-13") < excess < decimal.Decimal("1e-11")
+        assert abs(math.log(1000) / float(alpha) - 243) < 1e-9
+        first = math.ceil(F(26 * 221 * 1000, 100) / alpha)
+        assert mixing_time_bound(1000, 221, 119, lam, 6) == 2 * first * 244
 
     def test_monotone_in_n(self):
         vals = [mixing_time_bound(n, 221, 119, self.LAM, 6) for n in range(2, 400, 7)]
