@@ -29,7 +29,7 @@ from .experiments import (
     run_coupling_experiment,
     run_stage_experiment,
 )
-from .graphs import NeighboringPair, read_pair_file, write_pair_file
+from .graphs import read_neighboring_pair, read_pair_file, write_pair_file
 
 # The classical tight set: the cap constraint at alpha = 1, the band of
 # single-entry blocks with one side 1 and the other in 2..4, and the
@@ -73,9 +73,9 @@ def _add_lp_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_lp_build(args) -> int:
     inst = _build_lp_from_args(args)
-    lp_mod.write_lp_file(inst, args.out)
+    n_rows = lp_mod.write_lp_file(inst, args.out)
     n_structural = len(inst.constraints)
-    n_family = sum(1 for _ in inst.all_constraints()) - n_structural
+    n_family = n_rows - n_structural
     print(f"wrote {args.out} (+ .json sidecar)")
     print(f"name: {inst.name}")
     print(f"variables: {len(inst.variables)}")
@@ -203,13 +203,6 @@ def _cmd_sim_gamma(args) -> int:
     )
 
 
-def _read_pair(path: str):
-    g, sigma, tau = read_pair_file(path)
-    if tau is None:
-        raise InputError("pair file must contain both sigma and tau")
-    return NeighboringPair(g, sigma, tau)
-
-
 def _cmd_construct(args) -> int:
     pair = build_construction(ConstructionSpec(args.index, args.d, args.k))
     write_pair_file(args.out, pair.graph, pair.sigma, pair.tau)
@@ -218,7 +211,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check_marginals(args) -> int:
-    pair = _read_pair(args.pair)
+    pair = read_neighboring_pair(args.pair)
     probs = resolve_probabilities(args.vector)
     dist = greedy_coupling_distribution(pair, probs)
     failures = []

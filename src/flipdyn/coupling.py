@@ -41,6 +41,7 @@ distance 1.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -542,10 +543,13 @@ class TerminationRecord:
     final_sigma: Coloring
     final_tau: Coloring
     final_distance: int
-    steps_with_flips: int
-    terminating_moves_seen: int
     pre_stop_sigma: Coloring
     pre_stop_tau: Coloring
+
+
+# Draws per refill of the walk's random batch.  The walk consumes the
+# batch in order, so every seeded stream depends on this value.
+_BATCH = 4096
 
 
 class CoupledWalk:
@@ -561,7 +565,7 @@ class CoupledWalk:
     which always bounds the total mass of D.
     """
 
-    def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng, batch: int = 4096):
+    def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng):
         self.g = pair.graph
         self.k = pair.k
         self.n = pair.graph.n
@@ -570,21 +574,18 @@ class CoupledWalk:
         self.rng = rng
         self.pair = pair
         self.steps = 0
-        self.flips_applied = 0
-        self.terminating_seen = 0
         self._final = None
         self._dirty = True
         self._moves: list[CoupledMove] = []
         self._move_cum: list[float] = []
         self._q = 0.0
-        self._batch = batch
-        self._idx = batch  # force refill
+        self._idx = _BATCH  # force refill
         self._vs = self._cs = self._us = None
 
     def _refill(self):
-        self._vs = self.rng.integers(self.n, size=self._batch)
-        self._cs = self.rng.integers(self.k, size=self._batch)
-        self._us = self.rng.random(size=self._batch)
+        self._vs = self.rng.integers(self.n, size=_BATCH)
+        self._cs = self.rng.integers(self.k, size=_BATCH)
+        self._us = self.rng.random(size=_BATCH)
         self._idx = 0
 
     def _rebuild(self):
@@ -604,7 +605,7 @@ class CoupledWalk:
 
     def step(self) -> Optional[CoupledMove]:
         """Advance one step; returns the applied move, or None for a no-op."""
-        if self._idx >= self._batch:
+        if self._idx >= _BATCH:
             self._refill()
         x = int(self._vs[self._idx])
         c = int(self._cs[self._idx])
@@ -628,27 +629,17 @@ class CoupledWalk:
                 sig = flip(self.pair.sigma, comp, lo, hi)
                 tau = flip(self.pair.tau, comp, lo, hi)
                 self.pair = NeighboringPair(self.g, sig, tau)
-                self.flips_applied += 1
                 self._dirty = True
                 return CoupledMove(drawn, drawn, Fraction(0), False)
             return None
 
         if self._dirty:
             self._rebuild()
-        target = u * self._q
-        lo_i, hi_i = 0, len(self._move_cum)
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            if self._move_cum[mid] <= target:
-                lo_i = mid + 1
-            else:
-                hi_i = mid
-        if lo_i >= len(self._moves):
+        i = bisect.bisect_right(self._move_cum, u * self._q)
+        if i >= len(self._moves):
             return None
-        move = self._moves[lo_i]
+        move = self._moves[i]
         sig, tau = move.apply(self.pair)
-        self.flips_applied += 1
-        self.terminating_seen += 1
         self._dirty = True
         d = hamming(sig, tau)
         if d == 1:
@@ -671,8 +662,6 @@ class CoupledWalk:
             final_sigma=sig,
             final_tau=tau,
             final_distance=d,
-            steps_with_flips=self.flips_applied,
-            terminating_moves_seen=self.terminating_seen,
             pre_stop_sigma=before.sigma,
             pre_stop_tau=before.tau,
         )

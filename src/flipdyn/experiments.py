@@ -29,7 +29,7 @@ from .constructions import ConstructionSpec, build_construction
 from .coupling import terminating_mass, variable_length_coupling
 from .dynamics import FlipProbabilities, resolve_probabilities
 from .errors import CapacityError, InputError
-from .graphs import NeighboringPair, read_pair_file
+from .graphs import NeighboringPair, read_neighboring_pair
 
 Z95 = 1.959963984540054
 
@@ -61,10 +61,7 @@ class ExperimentConfig:
     def resolve_pair(self) -> NeighboringPair:
         if self.construction is not None:
             return build_construction(self.construction)
-        g, sigma, tau = read_pair_file(self.pair_file)
-        if tau is None:
-            raise InputError("pair file must contain both sigma and tau")
-        return NeighboringPair(g, sigma, tau)
+        return read_neighboring_pair(self.pair_file)
 
     def resolve_probs(self) -> FlipProbabilities:
         return resolve_probabilities(self.probs)
@@ -226,6 +223,28 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow((i,) + row)
 
 
+def _params(config: ExperimentConfig, pair: NeighboringPair) -> dict:
+    return {"n": pair.graph.n, "k": pair.k, "d": pair.graph.degree(pair.v),
+            "probs": config.probs, "replicas": config.replicas, "seed": config.seed}
+
+
+def _couple_replicas(
+    config: ExperimentConfig, pair: NeighboringPair, kind: str, csv_path: Optional[str]
+) -> tuple[list[tuple], ExperimentReport]:
+    """Coupled-walk replicas from pair: the rows of the replicas that
+    stopped within the cap, and a report holding the params and the
+    exceeded_cap/completed counts.  Writes every row to csv_path if given."""
+    rows = _map_replicas(config, _couple_replica)
+    if csv_path:
+        _write_csv(csv_path, ("t_stop", "final_distance", "exceeded_cap", "n_bad_pre",
+                              "n_good_pre"), rows)
+    done = [r for r in rows if r[2] == 0]
+    report = ExperimentReport(kind=kind, params=_params(config, pair))
+    report.counts["exceeded_cap"] = len(rows) - len(done)
+    report.counts["completed"] = len(done)
+    return done, report
+
+
 def run_coupling_experiment(
     config: ExperimentConfig, csv_path: Optional[str] = None
 ) -> ExperimentReport:
@@ -242,32 +261,10 @@ def run_coupling_experiment(
     n, k, d = pair.graph.n, pair.k, pair.graph.degree(pair.v)
     if k < d + 2:
         raise InputError(f"need k >= d + 2, got k={k}, d={d}")
-    rows = _map_replicas(config, _couple_replica)
-    if csv_path:
-        _write_csv(
-            csv_path,
-            ("t_stop", "final_distance", "exceeded_cap", "n_bad_pre", "n_good_pre"),
-            rows,
-        )
-    done = [r for r in rows if r[2] == 0]
-    exceeded = sum(r[2] for r in rows)
-
-    report = ExperimentReport(
-        kind="couple",
-        params={
-            "n": n,
-            "k": k,
-            "d": d,
-            "probs": config.probs,
-            "replicas": config.replicas,
-            "seed": config.seed,
-        },
-    )
-    report.counts["exceeded_cap"] = exceeded
-    report.counts["completed"] = len(done)
+    done, report = _couple_replicas(config, pair, "couple", csv_path)
     if done:
-        t_stops = [r[0] for r in rows if r[2] == 0]
-        finals = [r[1] for r in rows if r[2] == 0]
+        t_stops = [r[0] for r in done]
+        finals = [r[1] for r in done]
         report.metrics["t_stop"] = MetricSummary.from_values(t_stops)
         report.metrics["final_distance"] = MetricSummary.from_values(finals)
         fm = report.metrics["final_distance"]
@@ -316,18 +313,7 @@ def run_stage_experiment(
     good_end = [r[0] for r in rows]
     exceeded = sum(r[2] for r in rows)
 
-    report = ExperimentReport(
-        kind="stages",
-        params={
-            "n": n,
-            "k": k,
-            "d": d,
-            "color": color,
-            "probs": config.probs,
-            "replicas": config.replicas,
-            "seed": config.seed,
-        },
-    )
+    report = ExperimentReport(kind="stages", params={**_params(config, pair), "color": color})
     report.counts["exceeded_cap"] = exceeded
     report.metrics["p_good_end"] = MetricSummary.from_values(good_end)
     report.metrics["steps"] = MetricSummary.from_values([r[1] for r in rows])
@@ -354,30 +340,8 @@ def estimate_gamma_empirical(
     against the analytic gamma bound."""
     pair = config.resolve_pair()
     probs = config.resolve_probs()
-    n, k, d = pair.graph.n, pair.k, pair.graph.degree(pair.v)
-    rows = _map_replicas(config, _couple_replica)
-    if csv_path:
-        _write_csv(
-            csv_path,
-            ("t_stop", "final_distance", "exceeded_cap", "n_bad_pre", "n_good_pre"),
-            rows,
-        )
-    done = [r for r in rows if r[2] == 0]
-    exceeded = sum(r[2] for r in rows)
-
-    report = ExperimentReport(
-        kind="gamma",
-        params={
-            "n": n,
-            "k": k,
-            "d": d,
-            "probs": config.probs,
-            "replicas": config.replicas,
-            "seed": config.seed,
-        },
-    )
-    report.counts["exceeded_cap"] = exceeded
-    report.counts["completed"] = len(done)
+    k, d = pair.k, pair.graph.degree(pair.v)
+    done, report = _couple_replicas(config, pair, "gamma", csv_path)
     if not done:
         report.checks["ratio_below_gamma_bound"] = False
         return report

@@ -308,6 +308,14 @@ def read_pair_file(path: str) -> tuple[Graph, Coloring, Optional[Coloring]]:
     return g, sigma, tau
 
 
+def read_neighboring_pair(path: str) -> NeighboringPair:
+    """The pair of a read_pair_file file, which must hold both colorings."""
+    g, sigma, tau = read_pair_file(path)
+    if tau is None:
+        raise InputError("pair file must contain both sigma and tau")
+    return NeighboringPair(g, sigma, tau)
+
+
 def write_pair_file(path: str, g: Graph, sigma: Coloring, tau: Optional[Coloring] = None) -> None:
     """Write a graph and coloring(s) in the format read_pair_file accepts."""
     lines = [f"{g.n} {sigma.k} {len(g.edges)}"]

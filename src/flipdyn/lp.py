@@ -18,6 +18,13 @@ families:
   mix/...         (mixed kind) lam dominates lam_sing, lam_good and the
                   gamma-weighted mix of lam_bad and lam_good
 
+Every row is a list of (variable, weight) terms, an int variable alpha
+standing for p_alpha (zero outside 1..n_max); _row turns one into a
+LinearConstraint.  Each min() is linearized by _min_rows: terms minus a
+sum of min(x_i, y_i) is at most rhs exactly when each of the 2^m rows
+that subtract one argument of every min() is, labelled /br=<a|b ...>.
+The H branch rows, sur/y and tight/* are all built that way.
+
 The mixed kind splits the rate into lam_sing (single-entry blocks),
 lam_bad (the two extremal two-entry shapes at the support edge) and
 lam_good (everything else), reflecting that Bad states are rare along a
@@ -47,6 +54,7 @@ solve uses tuple_slack only to confirm the float candidates.
 from __future__ import annotations
 
 import decimal
+import itertools
 import json
 import math
 import re
@@ -59,6 +67,20 @@ from .errors import InputError, InvariantError
 from .simplex import SimplexResult, solve_simplex
 
 ZERO = Fraction(0)
+
+
+def _mass_fn(probs) -> Callable[[int], Fraction]:
+    """alpha -> p_alpha for a FlipProbabilities or a 0-indexable sequence
+    giving p_1.., zero outside 1..len."""
+    if isinstance(probs, FlipProbabilities):
+        return probs.mass
+    vals = list(probs)
+    return lambda alpha: Fraction(vals[alpha - 1]) if 1 <= alpha <= len(vals) else ZERO
+
+
+def _argmax(v) -> int:
+    """The lowest index attaining max(v)."""
+    return max(range(len(v)), key=lambda i: (v[i], -i))
 
 
 def h_value(
@@ -78,19 +100,8 @@ def h_value(
     """
     if len(a) != len(b) or not a:
         raise InputError("entry vectors must be nonempty and equal length")
-
-    if isinstance(probs, FlipProbabilities):
-        pm = probs.mass
-    else:
-        vals = list(probs)
-
-        def pm(alpha: int) -> Fraction:
-            if 1 <= alpha <= len(vals):
-                return Fraction(vals[alpha - 1])
-            return ZERO
-
-    i_max = max(range(len(a)), key=lambda i: (a[i], -i))
-    j_max = max(range(len(b)), key=lambda i: (b[i], -i))
+    pm = _mass_fn(probs)
+    i_max, j_max = _argmax(a), _argmax(b)
     pA = pm(A)
     pB = pm(B)
     total = (A - a[i_max] - 1) * pA + (B - b[j_max] - 1) * pB
@@ -103,12 +114,8 @@ def h_value(
 
 def g_surrogate(probs, a: int, b: int) -> Fraction:
     """a p_a + b p_b - min(p_a, p_b), the two-entry surrogate cost."""
-    if isinstance(probs, FlipProbabilities):
-        pa, pb = probs.mass(a), probs.mass(b)
-    else:
-        vals = list(probs)
-        pa = Fraction(vals[a - 1]) if 1 <= a <= len(vals) else ZERO
-        pb = Fraction(vals[b - 1]) if 1 <= b <= len(vals) else ZERO
+    pm = _mass_fn(probs)
+    pa, pb = pm(a), pm(b)
     return a * pa + b * pb - min(pa, pb)
 
 
@@ -137,6 +144,40 @@ def _pvar(alpha: int) -> str:
     return f"p{alpha}"
 
 
+def _row(label: str, terms, rel: str, rhs, n_max: int) -> LinearConstraint:
+    """One row from (variable, weight) terms, weights of a repeated variable
+    summed.  An int variable alpha stands for p_alpha and is dropped
+    outside 1..n_max, where p_alpha is zero."""
+    coeffs: dict[str, int] = {}
+    for var, w in terms:
+        if isinstance(var, int):
+            if not 1 <= var <= n_max:
+                continue
+            var = _pvar(var)
+        coeffs[var] = coeffs.get(var, 0) + w
+    return _mk_constraint(label, coeffs, rel, rhs)
+
+
+def _min_rows(label: str, terms, mins, rhs, n_max: int) -> list[LinearConstraint]:
+    """terms - sum_i min(x_i, y_i) <= rhs as its 2^len(mins) linear rows.
+
+    mins holds (x_i, y_i) pairs of term lists.  Row label/br=<s> subtracts
+    x_i where s[i] is 'a' and y_i where it is 'b'; the rows come in
+    itertools.product order, and their conjunction is the min() form.
+    """
+    return [
+        _row(f"{label}/br={''.join(branch)}",
+             [*terms, *((v, -w) for pick, (x, y) in zip(branch, mins)
+                        for v, w in (x if pick == "a" else y))],
+             "<=", rhs, n_max)
+        for branch in itertools.product("ab", repeat=len(mins))
+    ]
+
+
+def _h_label(a, b, A: int, B: int) -> str:
+    return f"H/m={len(a)}/a={','.join(map(str, a))}/b={','.join(map(str, b))}/A={A}/B={B}"
+
+
 class HFamily:
     """All exact block constraints for one entry count m, kept symbolic."""
 
@@ -150,17 +191,10 @@ class HFamily:
         self.m = m
         self.n_max = n_max
         self.lam_var_for = lam_var_for
-        self.label_for = label_for or self.default_label
+        self.label_for = label_for or _h_label
         self._table: Optional[TupleTable] = None
 
-    def default_label(self, a, b, A, B) -> str:
-        astr = ",".join(map(str, a))
-        bstr = ",".join(map(str, b))
-        return f"H/m={self.m}/a={astr}/b={bstr}/A={A}/B={B}"
-
     def tuples(self) -> Iterator[tuple[tuple, tuple, int, int]]:
-        import itertools
-
         n, m = self.n_max, self.m
         pairs = list(itertools.product(range(n + 1), repeat=2))
         for combo in itertools.combinations_with_replacement(pairs, m):
@@ -175,40 +209,19 @@ class HFamily:
                     yield a, b, A, B
 
     def branch_constraints(self, a, b, A, B) -> list[LinearConstraint]:
-        """The 2^m linear forms whose conjunction is H(A,B,a,b) <= rhs."""
-        import itertools
+        """The 2^m linear forms whose conjunction is H(A,B,a,b) <= rhs.
 
-        m, n = self.m, self.n_max
-        i_max = max(range(m), key=lambda i: (a[i], -i))
-        j_max = max(range(m), key=lambda i: (b[i], -i))
-        lam = self.lam_var_for(a, b, A, B)
-        base_label = self.label_for(a, b, A, B)
-        out = []
-        for branch in itertools.product("ab", repeat=m):
-            coeffs: dict[str, Fraction] = {}
-
-            def add(alpha: int, w) -> None:
-                if w != 0 and 1 <= alpha <= n:
-                    coeffs[_pvar(alpha)] = coeffs.get(_pvar(alpha), ZERO) + w
-
-            add(A, A - a[i_max] - 1)
-            add(B, B - b[j_max] - 1)
-            for i in range(m):
-                wa = a[i] - (1 if branch[i] == "a" else 0)
-                wb = b[i] - (1 if branch[i] == "b" else 0)
-                add(a[i], wa)
-                if i == i_max:
-                    add(A, -wa)
-                add(b[i], wb)
-                if i == j_max:
-                    add(B, -wb)
-            coeffs[lam] = coeffs.get(lam, ZERO) - m
-            out.append(
-                _mk_constraint(
-                    f"{base_label}/br={''.join(branch)}", coeffs, "<=", Fraction(-1)
-                )
-            )
-        return out
+        H is h_value's min-form: q_i = p_{a_i} - [i = i_max] p_A and q'_i
+        likewise, each a term list for _min_rows.
+        """
+        i_max, j_max = _argmax(a), _argmax(b)
+        q = [[(x, 1)] + [(A, -1)] * (i == i_max) for i, x in enumerate(a)]
+        qp = [[(y, 1)] + [(B, -1)] * (i == j_max) for i, y in enumerate(b)]
+        terms = [(A, A - a[i_max] - 1), (B, B - b[j_max] - 1),
+                 *((v, x * w) for x, qi in zip(a, q) for v, w in qi),
+                 *((v, y * w) for y, qi in zip(b, qp) for v, w in qi),
+                 (self.lam_var_for(a, b, A, B), -self.m)]
+        return _min_rows(self.label_for(a, b, A, B), terms, list(zip(q, qp)), -1, self.n_max)
 
     def tuple_slack(self, a, b, A, B, assignment: dict[str, Fraction]) -> Fraction:
         """Exact slack of one tuple through h_value: the readable reference."""
@@ -321,8 +334,7 @@ class TupleTable:
         flat = array(code)
         lam_index: dict[str, int] = {}
         for a, b, A, B in fam.tuples():
-            i_max = max(range(m), key=lambda i: (a[i], -i))
-            j_max = max(range(m), key=lambda i: (b[i], -i))
+            i_max, j_max = _argmax(a), _argmax(b)
             lam = lam_index.setdefault(fam.lam_var_for(a, b, A, B), len(lam_index))
             flat.extend(a)
             flat.extend(b)
@@ -395,6 +407,14 @@ class LPSolution:
     round_stats: tuple[RoundStats, ...] = ()
 
 
+def _monotone(n_max: int) -> list[LinearConstraint]:
+    """base/p1 (p_1 = 1) and mono/alpha (p_alpha <= p_{alpha-1})."""
+    return [_row("base/p1", [(1, 1)], "==", 1, n_max)] + [
+        _row(f"mono/{alpha}", [(alpha, 1), (alpha - 1, -1)], "<=", 0, n_max)
+        for alpha in range(2, n_max + 1)
+    ]
+
+
 def _structural(
     n_max: int,
     m_star: int,
@@ -402,66 +422,27 @@ def _structural(
     lam_close: str,
     cap3: bool,
 ) -> list[LinearConstraint]:
-    cons: list[LinearConstraint] = []
-    cons.append(_mk_constraint("base/p1", {"p1": Fraction(1)}, "==", 1))
-    for alpha in range(2, n_max + 1):
-        cons.append(
-            _mk_constraint(
-                f"mono/{alpha}",
-                {_pvar(alpha): Fraction(1), _pvar(alpha - 1): Fraction(-1)},
-                "<=",
-                0,
-            )
-        )
-    for alpha in range(1, n_max + 1):
-        cons.append(_mk_constraint(f"cap/{alpha}", {_pvar(alpha): Fraction(alpha)}, "<=", 1))
+    cons = _monotone(n_max)
+    cons += [_row(f"cap/{alpha}", [(alpha, alpha)], "<=", 1, n_max)
+             for alpha in range(1, n_max + 1)]
     if cap3:
-        for j in range(1, n_max + 1):
-            cons.append(_mk_constraint(f"cap3/{j + 2}", {_pvar(j): Fraction(j + 2)}, "<=", 3))
-
-    import itertools
-
+        cons += [_row(f"cap3/{j + 2}", [(j, j + 2)], "<=", 3, n_max)
+                 for j in range(1, n_max + 1)]
     for m in range(2, m_star):
         for bvec in itertools.combinations_with_replacement(range(n_max + 1), m):
             if bvec[-1] == 0:
                 continue
             big = sum(bvec)
-            coeffs: dict[str, Fraction] = {}
-            if 1 <= big <= n_max and big - bvec[-1] != 0:
-                coeffs[_pvar(big)] = coeffs.get(_pvar(big), ZERO) + (big - bvec[-1])
-            for bi in bvec:
-                if bi >= 1:
-                    coeffs[_pvar(bi)] = coeffs.get(_pvar(bi), ZERO) + bi
-            coeffs[lam_own] = coeffs.get(lam_own, ZERO) - m
-            bstr = ",".join(map(str, bvec))
-            cons.append(_mk_constraint(f"own/m={m}/b={bstr}", coeffs, "<=", -1))
-
-    for A in range(0, n_max + 2):
-        coeffs = {"x": Fraction(-1)}
-        if 1 <= A <= n_max and A != 2:
-            coeffs[_pvar(A)] = Fraction(A - 2)
-        cons.append(_mk_constraint(f"sur/x/A={A}", coeffs, "<=", 0))
+            terms = [(big, big - bvec[-1]), *((bi, bi) for bi in bvec), (lam_own, -m)]
+            cons.append(_row(f"own/m={m}/b={','.join(map(str, bvec))}", terms, "<=", -1, n_max))
+    cons += [_row(f"sur/x/A={A}", [("x", -1), (A, A - 2)], "<=", 0, n_max)
+             for A in range(0, n_max + 2)]
     for a in range(0, n_max + 1):
         for b in range(a + 1, n_max + 1):
-            for br in ("a", "b"):
-                coeffs = {"y": Fraction(-1)}
-
-                def addp(alpha: int, w: int) -> None:
-                    if w != 0 and 1 <= alpha <= n_max:
-                        coeffs[_pvar(alpha)] = coeffs.get(_pvar(alpha), ZERO) + w
-
-                addp(a, a)
-                addp(b, b)
-                addp(a if br == "a" else b, -1)
-                cons.append(_mk_constraint(f"sur/y/a={a}/b={b}/br={br}", coeffs, "<=", 0))
-    cons.append(
-        _mk_constraint(
-            "sur/close",
-            {"x": Fraction(2), "y": Fraction(m_star), lam_close: Fraction(-m_star)},
-            "<=",
-            -1,
-        )
-    )
+            cons += _min_rows(f"sur/y/a={a}/b={b}", [("y", -1), (a, a), (b, b)],
+                              [([(a, 1)], [(b, 1)])], 0, n_max)
+    cons.append(_row("sur/close", [("x", 2), ("y", m_star), (lam_close, -m_star)],
+                     "<=", -1, n_max))
     return cons
 
 
@@ -494,34 +475,17 @@ def build_tight_lp() -> LPInstance:
     """
     n_max = 7
     variables = tuple(_pvar(i) for i in range(1, n_max + 1)) + ("lam",)
-    cons: list[LinearConstraint] = []
-    cons.append(_mk_constraint("base/p1", {"p1": Fraction(1)}, "==", 1))
-    for alpha in range(2, n_max + 1):
-        cons.append(
-            _mk_constraint(
-                f"mono/{alpha}",
-                {_pvar(alpha): Fraction(1), _pvar(alpha - 1): Fraction(-1)},
-                "<=",
-                0,
-            )
-        )
-    # each entry: (label, base coeffs, the two min() arguments, lam weight)
+    cons = _monotone(n_max)
+    # each entry: (label, p terms, the two min() arguments, lam weight)
     specs = [
-        ("tight/1", {1: 1, 2: 1, 3: -2}, ({1: 1, 2: -1}, {2: 1, 3: -1}), 1),
-        ("tight/2", {1: 1, 2: -1, 3: 3, 4: -3}, ({1: 1, 2: -1}, {3: 1, 4: -1}), 1),
-        ("tight/3", {1: 1, 2: -1, 4: 4, 5: -4}, ({1: 1, 2: -1}, {4: 1, 5: -1}), 1),
-        ("tight/4", {1: 2, 3: 5}, ({1: 1, 3: -1}, {3: 1, 6: -1}), 2),
-        ("tight/5", {1: 2, 3: 5}, ({1: 1, 3: -1}, {3: 1, 7: -1}), 2),
+        ("tight/1", [(1, 1), (2, 1), (3, -2)], [(1, 1), (2, -1)], [(2, 1), (3, -1)], 1),
+        ("tight/2", [(1, 1), (2, -1), (3, 3), (4, -3)], [(1, 1), (2, -1)], [(3, 1), (4, -1)], 1),
+        ("tight/3", [(1, 1), (2, -1), (4, 4), (5, -4)], [(1, 1), (2, -1)], [(4, 1), (5, -1)], 1),
+        ("tight/4", [(1, 2), (3, 5)], [(1, 1), (3, -1)], [(3, 1), (6, -1)], 2),
+        ("tight/5", [(1, 2), (3, 5)], [(1, 1), (3, -1)], [(3, 1), (7, -1)], 2),
     ]
-    for label, base, (arg_a, arg_b), lam_w in specs:
-        for br, arg in (("a", arg_a), ("b", arg_b)):
-            coeffs: dict[str, Fraction] = {}
-            for alpha, w in base.items():
-                coeffs[_pvar(alpha)] = coeffs.get(_pvar(alpha), ZERO) + w
-            for alpha, w in arg.items():
-                coeffs[_pvar(alpha)] = coeffs.get(_pvar(alpha), ZERO) - w
-            coeffs["lam"] = Fraction(-lam_w)
-            cons.append(_mk_constraint(f"{label}/br={br}", coeffs, "<=", -1))
+    for label, terms, arg_a, arg_b, lam_w in specs:
+        cons += _min_rows(label, terms + [("lam", -lam_w)], [(arg_a, arg_b)], -1, n_max)
     return LPInstance(
         name="reduced-tight",
         variables=variables,
@@ -558,24 +522,12 @@ def build_mixed_lp(
         "y",
     )
     cons = _structural(n_max, m_star, lam_own="lam_good", lam_close="lam_good", cap3=cap3)
-    cons.append(
-        _mk_constraint("mix/sing", {"lam_sing": Fraction(1), "lam": Fraction(-1)}, "<=", 0)
-    )
-    cons.append(
-        _mk_constraint("mix/good", {"lam_good": Fraction(1), "lam": Fraction(-1)}, "<=", 0)
-    )
-    cons.append(
-        _mk_constraint(
-            "mix/bad",
-            {
-                "lam_bad": gamma / (gamma + 1),
-                "lam_good": Fraction(1, 1) / (gamma + 1),
-                "lam": Fraction(-1),
-            },
-            "<=",
-            0,
-        )
-    )
+    cons += [
+        _row("mix/sing", [("lam_sing", 1), ("lam", -1)], "<=", 0, n_max),
+        _row("mix/good", [("lam_good", 1), ("lam", -1)], "<=", 0, n_max),
+        _row("mix/bad", [("lam_bad", gamma / (gamma + 1)), ("lam_good", 1 / (gamma + 1)),
+                         ("lam", -1)], "<=", 0, n_max),
+    ]
 
     def lam_for(a, b, A, B) -> str:
         m = len(a)
@@ -593,21 +545,15 @@ def build_mixed_lp(
                 return "lam_bad"
         return "lam_good"
 
-    def label_for_factory(fam_m: int):
-        def label_for(a, b, A, B) -> str:
-            if lam_for(a, b, A, B) == "lam_bad":
-                if b == (3, 3):
-                    return f"bad/(1,1,3,3,B={B})/A={A}"
-                return f"bad/(3,3,1,1,A={A})/B={B}"
-            astr = ",".join(map(str, a))
-            bstr = ",".join(map(str, b))
-            return f"H/m={fam_m}/a={astr}/b={bstr}/A={A}/B={B}"
-
-        return label_for
+    def label_for(a, b, A, B) -> str:
+        if lam_for(a, b, A, B) != "lam_bad":
+            return _h_label(a, b, A, B)
+        if b == (3, 3):
+            return f"bad/(1,1,3,3,B={B})/A={A}"
+        return f"bad/(3,3,1,1,A={A})/B={B}"
 
     fams = tuple(
-        HFamily(m, n_max, lam_var_for=lam_for, label_for=label_for_factory(m))
-        for m in range(1, m_star)
+        HFamily(m, n_max, lam_var_for=lam_for, label_for=label_for) for m in range(1, m_star)
     )
     return LPInstance(
         name=f"mixed-n{n_max}-m{m_star}",
@@ -842,9 +788,10 @@ def solve_float(lp: LPInstance):
 _NAME_RE = re.compile(r"[^A-Za-z0-9_]")
 
 
-def write_lp_file(lp: LPInstance, path: str) -> None:
+def write_lp_file(lp: LPInstance, path: str) -> int:
     """Write the fully expanded program in CPLEX LP text format, plus a
-    JSON sidecar at path + '.json' with exact rational coefficients."""
+    JSON sidecar at path + '.json' with exact rational coefficients.
+    Returns the number of rows written."""
     used: dict[str, int] = {}
 
     def safe(label: str) -> str:
@@ -885,6 +832,7 @@ def write_lp_file(lp: LPInstance, path: str) -> None:
         fh.write("End\n")
     with open(path + ".json", "w") as fh:
         json.dump(side, fh)
+    return len(side["constraints"])
 
 
 def write_solution(sol: LPSolution, path: str) -> None:

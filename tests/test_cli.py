@@ -94,6 +94,15 @@ class TestConstructAndChecks:
         assert code == 0
         assert "ok" in out
 
+    def test_pair_file_without_tau_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sigma-only.txt"
+        path.write_text("2 3 1\n0 1\nsigma\n0 1\n")
+        for argv in (["check", "marginals", "--pair", str(path)],
+                     ["sim", "couple", "--pair", str(path), "--replicas", "1"]):
+            code, _, err = run(argv, capsys)
+            assert code == 2
+            assert "must contain both sigma and tau" in err
+
     def test_construct_invalid_exits_2(self, capsys):
         code, _, err = run(
             ["construct", "--index", "1", "--d", "3", "--k", "5", "--out", "/tmp/x"],

@@ -1,15 +1,18 @@
-"""The H families' tuple table against the per-tuple references.
+"""The H families' tuple table and branch rows against the per-tuple references.
 
 HFamily.scan must return exactly what the loop in
 tests/reference_families.py returns, floats compared with ==, and
 HFamily.scaled_slacks must give every tuple's HFamily.tuple_slack
 exactly: in int64 when the magnitudes fit, in Python ints when the
-denominators are too large for that.
+denominators are too large for that.  HFamily.branch_constraints must
+linearize the same H: at every tuple the largest lhs - rhs over its rows
+is minus tuple_slack.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +33,8 @@ LAM_MAPS = {
 
 
 @st.composite
-def family_points(draw):
-    """(family, assignment, big) for m = 1..3 with small supports.
+def family_points(draw, max_n=(7, 7, 4)):
+    """(family, assignment, big) for m = 1..3 with supports n <= max_n[m - 1].
 
     p_i is a rational in [0, 1/i] and every lam one in [0, 3].  In big
     cases one p has a denominator that d above 2**40 divides and every lam
@@ -39,7 +42,7 @@ def family_points(draw):
     other cases use denominators up to 50 (times i for p_i).
     """
     m = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 7 if m < 3 else 4))
+    n = draw(st.integers(1, max_n[m - 1]))
     fam = HFamily(m, n, LAM_MAPS[draw(st.sampled_from(sorted(LAM_MAPS)))])
     big = draw(st.booleans())
 
@@ -87,6 +90,29 @@ def test_scan_and_integer_slacks_match_the_references():
     check()
     for outcome in ("m=1", "m=2", "m=3", "big", "int64", "some violated",
                     "none violated", "scan hits", "scan empty"):
+        assert seen[outcome] >= 5, seen
+
+
+def test_branch_rows_linearize_h():
+    seen = collections.Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(point=family_points(max_n=(7, 4, 3)))
+    def check(point):
+        fam, assignment, big = point
+        for t in fam.tuples():
+            rows = fam.branch_constraints(*t)
+            assert [c.label for c in rows] == [
+                f"{fam.label_for(*t)}/br={''.join(br)}"
+                for br in itertools.product("ab", repeat=fam.m)
+            ]
+            worst = max(c.lhs_value(assignment) - c.rhs for c in rows)
+            assert worst == -fam.tuple_slack(*t, assignment)
+        seen[f"m={fam.m}"] += 1
+        seen["big" if big else "small"] += 1
+
+    check()
+    for outcome in ("m=1", "m=2", "m=3", "big", "small"):
         assert seen[outcome] >= 5, seen
 
 

@@ -10,7 +10,10 @@ sha256 of the pivot sequence, captured from the dense rational solver
 that tests/reference_simplex.py keeps.  slack.json holds one sha256 per
 slack_report case over every slack in insertion order and the tight and
 violated labels, captured from the per-tuple Fraction evaluation through
-HFamily.tuple_slack.  The sim/ files are the exact
+HFamily.tuple_slack.  rows.json holds one sha256 per program over every
+row of all_constraints() (label, coefficients, relation, right-hand side,
+in order) and the sha256 of the files and stdout of `flipdyn lp build`,
+captured before the row builders were shared.  The sim/ files are the exact
 --json reports and CSVs of `flipdyn sim couple|stages|gamma` for fixed
 seeds; every run must reproduce them at one worker and at two.
 """
@@ -87,6 +90,24 @@ SIMPLEX_PROGRAMS = {
     "vigoda-n7-m3": lambda: build_vigoda_lp(7, 3),
     "vigoda-n6-m4": lambda: build_vigoda_lp(6, 4),
     "mixed-n6-m3-gamma25.597784": lambda: build_mixed_lp(6, 3),
+}
+
+# Programs whose fully expanded rows are pinned in rows.json.
+ROW_PROGRAMS = {
+    "tight": build_tight_lp,
+    "tight-without-tight/4": lambda: build_tight_lp().without("tight/4"),
+    "vigoda-n4-m3": lambda: build_vigoda_lp(4, 3),
+    "vigoda-n6-m2": lambda: build_vigoda_lp(6, 2),
+    "vigoda-n7-m3": lambda: build_vigoda_lp(7, 3),
+    "vigoda-n5-m4": lambda: build_vigoda_lp(5, 4),
+    "mixed-n6-m3-cap3": lambda: build_mixed_lp(6, 3, cap3=True),
+    "mixed-n5-m4": lambda: build_mixed_lp(5, 4, cap3=False),
+}
+
+# `flipdyn lp build` runs whose .lp file, JSON sidecar and stdout are pinned.
+LP_BUILDS = {
+    "vigoda-n4": ["lp", "build", "--kind", "vigoda", "--nmax", "4"],
+    "mixed-n6-cap3": ["lp", "build", "--kind", "mixed", "--nmax", "6", "--cap3"],
 }
 
 # Slack reports pinned in slack.json: program, vector and rate of each case.
@@ -203,6 +224,36 @@ def slack_record(report) -> dict:
     }
 
 
+def rows_record(inst) -> dict:
+    """The row count and the sha256 of one line per expanded row:
+    'label v=n/d ... rel n/d'."""
+    h = hashlib.sha256()
+    count = 0
+    for c in inst.all_constraints():
+        coeffs = " ".join(f"{v}={_frac(x)}" for v, x in c.coeffs)
+        h.update(f"{c.label} {coeffs} {c.rel} {_frac(c.rhs)}\n".encode())
+        count += 1
+    return {"rows": count, "sha256": h.hexdigest()}
+
+
+def lp_build_record(argv: list[str], tmp_path: Path, capsys, monkeypatch) -> dict:
+    """sha256 of the .lp file, its JSON sidecar and the stdout of one
+    `flipdyn lp build`, run in tmp_path so that stdout names no directory."""
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli_main(argv + ["--out", "program.lp"]) == 0
+    out = capsys.readouterr().out
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    return {
+        "lp": sha((tmp_path / "program.lp").read_bytes()),
+        "json": sha((tmp_path / "program.lp.json").read_bytes()),
+        "stdout": sha(out.encode()),
+    }
+
+
 def simplex_record(call) -> dict:
     """One simplex call in the form of simplex.json's entries."""
     res = call["result"]
@@ -242,6 +293,18 @@ def test_simplex_pivot_path(name):
         assert len(call["pivots"]) == (call["result"].phase1_pivots
                                        + call["result"].phase2_pivots)
     assert [simplex_record(c) for c in calls] == expected
+
+
+@pytest.mark.parametrize("name", sorted(ROW_PROGRAMS))
+def test_expanded_rows(name):
+    expected = json.loads((GOLDEN / "rows.json").read_text())["programs"][name]
+    assert rows_record(ROW_PROGRAMS[name]()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(LP_BUILDS))
+def test_lp_build_files(name, tmp_path, capsys, monkeypatch):
+    expected = json.loads((GOLDEN / "rows.json").read_text())["lp_build"][name]
+    assert lp_build_record(LP_BUILDS[name], tmp_path, capsys, monkeypatch) == expected
 
 
 @pytest.mark.parametrize("name", sorted(SLACK_CASES))
