@@ -37,11 +37,22 @@ color (_touches_d).  Non-terminating moves never change the Hamming
 distance; terminating moves may (including to 0 or above 1), but a
 terminating move can also relocate the disagreement to another vertex at
 distance 1.
+
+Masses are exact throughout.  A block gives each move's mass as an
+integer num over L * n * k, with L = probs.scale the lcm of the vector's
+denominators, so its minima and residuals are integer operations;
+_coupled makes the CoupledMove, of mass Fraction(num, L * n * k).  A block
+also knows what it reads: its colors (s, t and c for a generic block, s
+and t for the disagreement block) and N[visited()], the vertices its
+searches reached and their neighbors.  Its moves change only when a flip
+recolors one of those vertices between colors it tells apart, which is
+what lets CoupledWalk keep blocks from one step to the next.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,6 +61,7 @@ from .dynamics import FlipProbabilities
 from .errors import CapacityError, InputError, InvariantError
 from .graphs import (
     Coloring,
+    Graph,
     NeighboringPair,
     alternating_component,
     enumerate_flips,
@@ -61,6 +73,9 @@ from .graphs import (
 # on this side".
 Flip = tuple[frozenset[int], int, int]
 Entries = list[tuple[str, Optional[Flip]]]
+# A move of D as a block emits it: (sigma flip, tau flip, num), with num
+# the move's mass times probs.scale * n * k, an integer.
+RawMove = tuple[Optional[Flip], Optional[Flip], int]
 
 
 def _mk_flip(vertices: frozenset[int], c1: int, c2: int) -> Flip:
@@ -130,18 +145,10 @@ def _dedup(sets: list[frozenset[int]]) -> list[frozenset[int]]:
     return out
 
 
-def _per_draw(p: Fraction, nk: int) -> Fraction:
-    """p / nk, built from integers: Fraction's constructor is far cheaper
-    on two ints than on a Fraction and an int."""
-    return Fraction(p.numerator, p.denominator * nk)
-
-
-def _emit(
-    out: list[CoupledMove], nk: int, sf: Optional[Flip], tf: Optional[Flip], mass: Fraction
-) -> None:
-    """Append a terminating move of mass/nk unless mass is zero."""
-    if mass != 0:
-        out.append(CoupledMove(sf, tf, _per_draw(mass, nk), True))
+def _emit(out: list[RawMove], sf: Optional[Flip], tf: Optional[Flip], num: int) -> None:
+    """Append a terminating move of mass num unless num is zero."""
+    if num:
+        out.append((sf, tf, num))
 
 
 def _argmax_lowest(sizes: Sequence[int]) -> int:
@@ -156,14 +163,16 @@ class _GenericBlock:
     """Difference block for one color c outside {s, t}.
 
     An absent color (delta_c = 0) has both sides {v}, no entries and one
-    coalescing move; it runs no search.
+    coalescing move; it runs no search.  Its moves depend only on which
+    of the colors s, t, c each vertex of N[visited()] carries.
     """
 
-    __slots__ = ("c", "s", "t", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets",
+    __slots__ = ("c", "s", "t", "colors", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets",
                  "i_max", "j_max")
 
     def __init__(self, pair: NeighboringPair, c: int):
         self.c, self.s, self.t = c, pair.s, pair.t
+        self.colors = (pair.s, pair.t, c)
         if not pair.delta(c):
             self.u = self.a_sets = self.b_sets = ()
             self.sv_sigma = self.sv_tau = frozenset((pair.v,))
@@ -182,20 +191,24 @@ class _GenericBlock:
         self.i_max = _argmax_lowest([len(x) for x in self.a_sets])
         self.j_max = _argmax_lowest([len(x) for x in self.b_sets])
 
-    def moves(self, probs: FlipProbabilities, nk: int) -> list[CoupledMove]:
+    def visited(self) -> frozenset[int]:
+        """Every vertex the block's searches reached, v included."""
+        return self.sv_sigma.union(self.sv_tau, *self.a_sets, *self.b_sets)
+
+    def moves(self, probs: FlipProbabilities) -> list[RawMove]:
         s, t, c = self.s, self.t, self.c
         if not self.u:
             # p_1 = 1: v's two singleton flips to c coalesce
-            return [CoupledMove(_mk_flip(self.sv_sigma, s, c), _mk_flip(self.sv_tau, t, c),
-                                Fraction(1, nk), True)]
-        pA = probs.mass(len(self.sv_sigma))
-        pB = probs.mass(len(self.sv_tau))
-        out: list[CoupledMove] = []
-        _emit(out, nk, _mk_flip(self.sv_sigma, s, c), _mk_flip(self.a_sets[self.i_max], c, s), pA)
-        _emit(out, nk, _mk_flip(self.b_sets[self.j_max], c, t), _mk_flip(self.sv_tau, t, c), pB)
+            return [(_mk_flip(self.sv_sigma, s, c), _mk_flip(self.sv_tau, t, c), probs.scale)]
+        mass = probs.mass_scaled
+        pA = mass(len(self.sv_sigma))
+        pB = mass(len(self.sv_tau))
+        out: list[RawMove] = []
+        _emit(out, _mk_flip(self.sv_sigma, s, c), _mk_flip(self.a_sets[self.i_max], c, s), pA)
+        _emit(out, _mk_flip(self.b_sets[self.j_max], c, t), _mk_flip(self.sv_tau, t, c), pB)
         for i in range(len(self.u)):
-            q = probs.mass(len(self.a_sets[i])) - (pA if i == self.i_max else 0)
-            qp = probs.mass(len(self.b_sets[i])) - (pB if i == self.j_max else 0)
+            q = mass(len(self.a_sets[i])) - (pA if i == self.i_max else 0)
+            qp = mass(len(self.b_sets[i])) - (pB if i == self.j_max else 0)
             if q < 0 or qp < 0:
                 raise InvariantError(
                     f"negative residual mass in block {c}: flip vector not monotone"
@@ -203,9 +216,9 @@ class _GenericBlock:
             both = min(q, qp)
             a_flip = _mk_flip(self.a_sets[i], c, s)
             b_flip = _mk_flip(self.b_sets[i], c, t)
-            _emit(out, nk, b_flip, a_flip, both)
-            _emit(out, nk, None, a_flip, q - both)
-            _emit(out, nk, b_flip, None, qp - both)
+            _emit(out, b_flip, a_flip, both)
+            _emit(out, None, a_flip, q - both)
+            _emit(out, b_flip, None, qp - both)
         return out
 
     def sigma_flips(self) -> list[Flip]:
@@ -243,12 +256,14 @@ class _GenericBlock:
 
 
 class _DisagreementBlock:
-    """Unified block for the two disagreement colors s and t."""
+    """Unified block for the two disagreement colors s and t.  Its moves
+    depend only on which of s and t each vertex of N[visited()] carries."""
 
     def __init__(self, pair: NeighboringPair):
         g, sig, v = pair.graph, pair.sigma, pair.v
         s, t = pair.s, pair.t
         self.s, self.t, self.v = s, t, v
+        self.colors = (s, t)
         self.x = pair.neighbors_colored(s)
         self.y = pair.neighbors_colored(t)
         cols = sig.colors
@@ -317,49 +332,55 @@ class _DisagreementBlock:
         self.y_sets = [self.m if has_x[class_index[comp_of[u]]] else comp_of[u]
                        for u in self.y]
 
-    def moves(self, probs: FlipProbabilities, nk: int) -> list[CoupledMove]:
+    def visited(self) -> frozenset[int]:
+        """v and every {s,t}-component attached to it: each class holds an
+        s- or t-colored neighbor, so lam and m cover them all."""
+        return self.lam | self.m
+
+    def moves(self, probs: FlipProbabilities) -> list[RawMove]:
         s, t = self.s, self.t
-        p_lam = probs.mass(len(self.lam))
-        p_m = probs.mass(len(self.m))
+        mass = probs.mass_scaled
+        p_lam = mass(len(self.lam))
+        p_m = mass(len(self.m))
         lam, m = _mk_flip(self.lam, s, t), _mk_flip(self.m, s, t)
         px = [len(self.classes[i]) for i in self.pure_x]
         py = [len(self.classes[i]) for i in self.pure_y]
-        out: list[CoupledMove] = []
+        out: list[RawMove] = []
 
         def cls(i: int) -> Flip:
             return _mk_flip(self.classes[i], s, t)
 
         if self.mixed:
             both = min(p_lam, p_m)
-            _emit(out, nk, lam, m, both)
-            _emit(out, nk, lam, None, p_lam - both)
-            _emit(out, nk, None, m, p_m - both)
+            _emit(out, lam, m, both)
+            _emit(out, lam, None, p_lam - both)
+            _emit(out, None, m, p_m - both)
             for i in self.pure_x:
-                _emit(out, nk, cls(i), None, probs.mass(len(self.classes[i])))
+                _emit(out, cls(i), None, mass(len(self.classes[i])))
             for j in self.pure_y:
-                _emit(out, nk, None, cls(j), probs.mass(len(self.classes[j])))
+                _emit(out, None, cls(j), mass(len(self.classes[j])))
             return out
 
         if py:
             j_hat = _argmax_lowest(py)
-            _emit(out, nk, lam, cls(self.pure_y[j_hat]), p_lam)
+            _emit(out, lam, cls(self.pure_y[j_hat]), p_lam)
             for idx, j in enumerate(self.pure_y):
-                residual = probs.mass(py[idx]) - (p_lam if idx == j_hat else 0)
+                residual = mass(py[idx]) - (p_lam if idx == j_hat else 0)
                 if residual < 0:
                     raise InvariantError("negative residual in disagreement block")
-                _emit(out, nk, None, cls(j), residual)
+                _emit(out, None, cls(j), residual)
         else:
-            _emit(out, nk, lam, None, p_lam)
+            _emit(out, lam, None, p_lam)
         if px:
             i_hat = _argmax_lowest(px)
-            _emit(out, nk, cls(self.pure_x[i_hat]), m, p_m)
+            _emit(out, cls(self.pure_x[i_hat]), m, p_m)
             for idx, i in enumerate(self.pure_x):
-                residual = probs.mass(px[idx]) - (p_m if idx == i_hat else 0)
+                residual = mass(px[idx]) - (p_m if idx == i_hat else 0)
                 if residual < 0:
                     raise InvariantError("negative residual in disagreement block")
-                _emit(out, nk, cls(i), None, residual)
+                _emit(out, cls(i), None, residual)
         else:
-            _emit(out, nk, None, m, p_m)
+            _emit(out, None, m, p_m)
         return out
 
     def sigma_flips(self) -> list[Flip]:
@@ -394,14 +415,26 @@ class _DisagreementBlock:
                          i_max=_argmax_lowest(a) if a else None, j_max=None)
 
 
-def _blocks(pair: NeighboringPair) -> list[_GenericBlock | _DisagreementBlock]:
-    """Every block of D: the generic ones in color order, then s and t."""
+Block = _GenericBlock | _DisagreementBlock
+
+
+def _block(pair: NeighboringPair, c: int) -> Block:
+    """The block holding color c."""
+    if c == pair.s or c == pair.t:
+        return _DisagreementBlock(pair)
+    return _GenericBlock(pair, c)
+
+
+def _block_keys(pair: NeighboringPair) -> list[int]:
+    """One color per block of D, in move order: the generic colors
+    ascending, then s for the disagreement block."""
     s, t = pair.s, pair.t
-    out: list[_GenericBlock | _DisagreementBlock] = [
-        _GenericBlock(pair, c) for c in range(pair.k) if c != s and c != t
-    ]
-    out.append(_DisagreementBlock(pair))
-    return out
+    return [c for c in range(pair.k) if c != s and c != t] + [s]
+
+
+def _blocks(pair: NeighboringPair) -> list[Block]:
+    """Every block of D: the generic ones in color order, then s and t."""
+    return [_block(pair, c) for c in _block_keys(pair)]
 
 
 def difference_sets(pair: NeighboringPair) -> dict[int, Entries]:
@@ -423,9 +456,7 @@ def signature(pair: NeighboringPair, c: int) -> Signature:
     """Block summary for color c; defined when delta_c > 0 or c is s or t."""
     if not (0 <= c < pair.k):
         raise InputError(f"color {c} out of range")
-    if c == pair.s or c == pair.t:
-        return _DisagreementBlock(pair).signature(c)
-    return _GenericBlock(pair, c).signature(c)
+    return _block(pair, c).signature(c)
 
 
 @dataclass(frozen=True)
@@ -456,17 +487,33 @@ class CouplingDistribution:
         return sum((m.mass for m in self.moves if m.terminating), Fraction(0))
 
 
+def _coupled(move: RawMove, den: int) -> CoupledMove:
+    """A block's move with its exact mass num / den, den = scale * n * k."""
+    sf, tf, num = move
+    return CoupledMove(sf, tf, Fraction(num, den), True)
+
+
+def _difference_raw(
+    pair: NeighboringPair, probs: FlipProbabilities
+) -> tuple[list[RawMove], set[Flip]]:
+    """All non-identity moves as blocks emit them, plus the sigma-side
+    flip identities in D."""
+    moves: list[RawMove] = []
+    sigma_labels: set[Flip] = set()
+    for blk in _blocks(pair):
+        moves.extend(blk.moves(probs))
+        sigma_labels.update(blk.sigma_flips())
+    return moves, sigma_labels
+
+
 def _difference_moves(
     pair: NeighboringPair, probs: FlipProbabilities
 ) -> tuple[list[CoupledMove], set[Flip]]:
-    """All non-identity moves plus the sigma-side flip identities in D."""
-    nk = pair.graph.n * pair.k
-    moves: list[CoupledMove] = []
-    sigma_labels: set[Flip] = set()
-    for blk in _blocks(pair):
-        moves.extend(blk.moves(probs, nk))
-        sigma_labels.update(blk.sigma_flips())
-    return moves, sigma_labels
+    """All non-identity moves with their exact masses, plus the
+    sigma-side flip identities in D."""
+    den = probs.scale * pair.graph.n * pair.k
+    moves, sigma_labels = _difference_raw(pair, probs)
+    return [_coupled(m, den) for m in moves], sigma_labels
 
 
 def greedy_coupling_distribution(
@@ -478,18 +525,21 @@ def greedy_coupling_distribution(
     tests enforce this on exhaustive small instances.  Moves of mass zero
     are omitted, as are flips the probability vector never performs.
     """
-    nk = pair.graph.n * pair.k
-    moves, sigma_labels = _difference_moves(pair, probs)
+    den = probs.scale * pair.graph.n * pair.k
+    raw, sigma_labels = _difference_raw(pair, probs)
+    used = sum(num for _, _, num in raw)
+    moves = [_coupled(m, den) for m in raw]
     for f in enumerate_flips(pair.graph, pair.sigma):
         if f in sigma_labels:
             continue
-        p = probs.mass(len(f[0]))
-        if p != 0:
-            moves.append(CoupledMove(f, f, _per_draw(p, nk), False))
-    total = sum((m.mass for m in moves), Fraction(0))
-    if total > 1:
+        num = probs.mass_scaled(len(f[0]))
+        if num:
+            used += num
+            moves.append(CoupledMove(f, f, Fraction(num, den), False))
+    # the total mass used / den, checked exactly in integers
+    if used > den:
         raise InvariantError("coupled move masses exceed 1")
-    return CouplingDistribution(moves=tuple(moves), noop_mass=1 - total)
+    return CouplingDistribution(moves=tuple(moves), noop_mass=Fraction(den - used, den))
 
 
 def _touches_d(pair: NeighboringPair, f: Flip, toward: int, cols: tuple[int, ...]) -> bool:
@@ -552,6 +602,36 @@ class TerminationRecord:
 _BATCH = 4096
 
 
+def _closed_neighborhood(g: Graph, vertices: frozenset[int]) -> frozenset[int]:
+    out = set(vertices)
+    for w in vertices:
+        out.update(g.adj[w])
+    return frozenset(out)
+
+
+class _CachedBlock:
+    """One block as the walk keeps it between rebuilds: what it reads,
+    its moves with integer masses, their floats, and its sigma-side
+    draws (the distinct draws that select one of its sigma flips)."""
+
+    __slots__ = ("reads", "colors", "moves", "floats", "total", "draws")
+
+    def __init__(self, blk: Block, g: Graph, probs: FlipProbabilities, den: int):
+        self.reads = _closed_neighborhood(g, blk.visited())
+        self.colors = blk.colors
+        self.moves = blk.moves(probs)
+        self.floats = [num / den for _, _, num in self.moves]
+        self.total = sum(num for _, _, num in self.moves)
+        self.draws = sum(len(f[0]) for f in set(blk.sigma_flips()))
+
+    def stale_after(self, comp: frozenset[int], lo: int, hi: int) -> bool:
+        """Whether flipping comp between lo and hi can change the block:
+        only when it recolors a vertex the block reads, between colors it
+        tells apart."""
+        colors = self.colors
+        return (lo in colors or hi in colors) and not comp.isdisjoint(self.reads)
+
+
 class CoupledWalk:
     """Mutable coupled trajectory with an exact-per-step fast sampler.
 
@@ -562,7 +642,19 @@ class CoupledWalk:
     D are emitted with their exact masses.  The emission probabilities are
     mass / Q where Q is the total probability of the combined class
     (same-color draws plus draws selecting a sigma-side component of D),
-    which always bounds the total mass of D.
+    which always bounds the total mass of D; the bound is checked exactly,
+    in integers, at every rebuild.
+
+    The sampling table is built from the blocks of D, which the walk keeps
+    between rebuilds.  An identity flip of S between colors lo and hi
+    drops only the blocks that tell lo or hi apart from other colors and
+    read a vertex of S (stale_after); a move of D drops them all, since v,
+    s and t may change.  A rebuild builds the dropped blocks alone, then
+    concatenates every block's moves in _blocks order.  Masses are
+    integers over L * n * k (L = probs.scale), so the table's floats are
+    num / (L * n * k), bit-identical to float(mass); the exact Fraction
+    is made only for the move a step returns.  blocks_built and
+    blocks_reused count the blocks each rebuild built and kept.
     """
 
     def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng):
@@ -574,9 +666,16 @@ class CoupledWalk:
         self.rng = rng
         self.pair = pair
         self.steps = 0
+        self.blocks_built = 0
+        self.blocks_reused = 0
         self._final = None
+        self._den = probs.scale * self.nk
+        # None: every block dropped; otherwise one entry per _block_keys
+        # color, None where that block was dropped
+        self._cache: Optional[list[Optional[_CachedBlock]]] = None
+        self._keys: list[int] = []
         self._dirty = True
-        self._moves: list[CoupledMove] = []
+        self._moves: list[RawMove] = []
         self._move_cum: list[float] = []
         self._q = 0.0
         self._idx = _BATCH  # force refill
@@ -588,19 +687,42 @@ class CoupledWalk:
         self._us = self.rng.random(size=_BATCH)
         self._idx = 0
 
+    def _drop(self, comp: frozenset[int], lo: int, hi: int) -> None:
+        """Drop the cached blocks an identity flip of comp may change."""
+        cache = self._cache
+        if cache is None:
+            return
+        for i, entry in enumerate(cache):
+            if entry is not None and entry.stale_after(comp, lo, hi):
+                cache[i] = None
+                self._dirty = True
+
     def _rebuild(self):
-        moves, labels = _difference_moves(self.pair, self.probs)
-        self._moves = moves
-        q_draws = self.n + sum(len(f[0]) for f in labels)
-        self._q = q_draws / self.nk
-        cum = []
-        acc = 0.0
-        for m in moves:
-            acc += float(m.mass)
-            cum.append(acc)
-        if acc > self._q + 1e-12:
+        if self._cache is None:
+            self._keys = _block_keys(self.pair)
+            self._cache = [None] * len(self._keys)
+        cache = self._cache
+        moves: list[RawMove] = []
+        floats: list[float] = []
+        used = 0
+        q_draws = self.n
+        for i, entry in enumerate(cache):
+            if entry is None:
+                entry = cache[i] = _CachedBlock(
+                    _block(self.pair, self._keys[i]), self.g, self.probs, self._den)
+                self.blocks_built += 1
+            else:
+                self.blocks_reused += 1
+            moves += entry.moves
+            floats += entry.floats
+            used += entry.total
+            q_draws += entry.draws
+        # the mass of D, used / den, within its draw budget q_draws / nk
+        if used > self.probs.scale * q_draws:
             raise InvariantError("difference mass exceeds its draw budget")
-        self._move_cum = cum
+        self._moves = moves
+        self._q = q_draws / self.nk
+        self._move_cum = list(itertools.accumulate(floats))
         self._dirty = False
 
     def step(self) -> Optional[CoupledMove]:
@@ -629,7 +751,7 @@ class CoupledWalk:
                 sig = flip(self.pair.sigma, comp, lo, hi)
                 tau = flip(self.pair.tau, comp, lo, hi)
                 self.pair = NeighboringPair(self.g, sig, tau)
-                self._dirty = True
+                self._drop(comp, lo, hi)
                 return CoupledMove(drawn, drawn, Fraction(0), False)
             return None
 
@@ -638,8 +760,9 @@ class CoupledWalk:
         i = bisect.bisect_right(self._move_cum, u * self._q)
         if i >= len(self._moves):
             return None
-        move = self._moves[i]
+        move = _coupled(self._moves[i], self._den)
         sig, tau = move.apply(self.pair)
+        self._cache = None
         self._dirty = True
         d = hamming(sig, tau)
         if d == 1:

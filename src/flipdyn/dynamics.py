@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import CapacityError, InputError, InvariantError
+from .errors import CapacityError, InputError, InvariantError, output_file
 from .graphs import Coloring, Graph, alternating_component, enumerate_flips, flip, is_proper
 
 RationalLike = Union[int, str, Fraction]
@@ -38,10 +39,16 @@ class FlipProbabilities:
 
     values[i] is p_{i+1}; everything beyond the stored values (and p_0)
     is zero.  Use mass(alpha) for safe 0-padded access.
+
+    scale is L, the lcm of the denominators: every p_alpha * L is an
+    integer (mass_scaled), so sums and minima of masses can be taken in
+    integers over one common denominator.
     """
 
     values: tuple[Fraction, ...]
     _floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+    _scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values:
@@ -60,6 +67,10 @@ class FlipProbabilities:
                 raise InputError(f"{i} * p_{i} = {i * p} exceeds 1")
             prev = p
         object.__setattr__(self, "_floats", tuple(float(p) for p in self.values))
+        scale = math.lcm(*(p.denominator for p in self.values))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_scaled",
+                           tuple(p.numerator * (scale // p.denominator) for p in self.values))
 
     @property
     def n_max(self) -> int:
@@ -71,6 +82,12 @@ class FlipProbabilities:
         if 1 <= alpha <= len(self.values):
             return self.values[alpha - 1]
         return Fraction(0)
+
+    def mass_scaled(self, alpha: int) -> int:
+        """p_alpha * scale, an integer; zero outside 1..n_max."""
+        if 1 <= alpha <= len(self._scaled):
+            return self._scaled[alpha - 1]
+        return 0
 
     def mass_float(self, alpha: int) -> float:
         if 1 <= alpha <= len(self._floats):
@@ -112,7 +129,7 @@ class FlipProbabilities:
             raise InputError(f"cannot read {path}: {e}") from None
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with output_file(path) as fh:
             fh.write(self.to_json() + "\n")
 
 

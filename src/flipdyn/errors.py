@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and output_file, through
+which every file the package writes maps an OS failure to InputError.
 
 The CLI maps these onto process exit codes: InputError -> 2,
 CapacityError -> 3.  InvariantError signals an internal consistency
@@ -6,6 +7,11 @@ violation (e.g. a probability vector that breaks monotonicity mid-way
 through a coupling construction) and is always a bug or bad input data,
 never an expected runtime condition.
 """
+
+from __future__ import annotations
+
+import contextlib
+from typing import Iterator, Optional, TextIO
 
 
 class FlipDynError(Exception):
@@ -22,3 +28,14 @@ class CapacityError(FlipDynError):
 
 class InvariantError(FlipDynError):
     """An internal invariant was violated; indicates a bug or inconsistent data."""
+
+
+@contextlib.contextmanager
+def output_file(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """path opened for writing; an OSError while opening, writing or
+    closing it is an InputError ("cannot write ...")."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from None

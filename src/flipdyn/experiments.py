@@ -28,7 +28,7 @@ from .classify import Stage, classify_color, gamma_bound, stage_step_masses, sta
 from .constructions import ConstructionSpec, build_construction
 from .coupling import terminating_mass, variable_length_coupling
 from .dynamics import FlipProbabilities, resolve_probabilities
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, output_file
 from .graphs import NeighboringPair, read_neighboring_pair
 
 Z95 = 1.959963984540054
@@ -213,10 +213,18 @@ def _map_replicas(config: ExperimentConfig, fn, color: Optional[int] = None) -> 
 # ---------------------------------------------------------------------------
 
 
+def _check_csv(path: Optional[str]) -> None:
+    """Create (or truncate) the CSV before any replica runs, so that an
+    unwritable path fails at once rather than after the whole run."""
+    if path:
+        with output_file(path):
+            pass
+
+
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     import csv
 
-    with open(path, "w", newline="") as fh:
+    with output_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("replica",) + header)
         for i, row in enumerate(rows):
@@ -234,6 +242,7 @@ def _couple_replicas(
     """Coupled-walk replicas from pair: the rows of the replicas that
     stopped within the cap, and a report holding the params and the
     exceeded_cap/completed counts.  Writes every row to csv_path if given."""
+    _check_csv(csv_path)
     rows = _map_replicas(config, _couple_replica)
     if csv_path:
         _write_csv(csv_path, ("t_stop", "final_distance", "exceeded_cap", "n_bad_pre",
@@ -307,6 +316,7 @@ def run_stage_experiment(
     if classify_color(pair, color) is not StateLabel.BAD:
         raise InputError(f"start pair is not in the Bad configuration at color {color}")
     n, k, d = pair.graph.n, pair.k, pair.graph.degree(pair.v)
+    _check_csv(csv_path)
     rows = _map_replicas(config, _stage_replica, color=color)
     if csv_path:
         _write_csv(csv_path, ("good_end", "steps", "exceeded_cap"), rows)

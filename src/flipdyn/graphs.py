@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, output_file
 
 
 class Graph:
@@ -325,5 +325,5 @@ def write_pair_file(path: str, g: Graph, sigma: Coloring, tau: Optional[Coloring
     if tau is not None:
         lines.append("tau")
         lines.append(" ".join(str(c) for c in tau.colors))
-    with open(path, "w") as fh:
+    with output_file(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -63,7 +63,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .dynamics import FlipProbabilities
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, output_file
 from .simplex import SimplexResult, solve_simplex
 
 ZERO = Fraction(0)
@@ -807,7 +807,7 @@ def write_lp_file(lp: LPInstance, path: str) -> int:
         "meta": {k: str(v) for k, v in lp.meta.items()},
         "constraints": [],
     }
-    with open(path, "w") as fh:
+    with output_file(path) as fh:
         fh.write(f"\\ {lp.name}\nMinimize\n obj: {lp.objective_var}\nSubject To\n")
         for c in lp.all_constraints():
             terms = []
@@ -830,7 +830,7 @@ def write_lp_file(lp: LPInstance, path: str) -> int:
         for v in lp.variables:
             fh.write(f" 0 <= {v}\n")
         fh.write("End\n")
-    with open(path + ".json", "w") as fh:
+    with output_file(path + ".json") as fh:
         json.dump(side, fh)
     return len(side["constraints"])
 
@@ -845,7 +845,7 @@ def write_solution(sol: LPSolution, path: str) -> None:
         },
         "rounds": sol.rounds,
     }
-    with open(path, "w") as fh:
+    with output_file(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

@@ -7,8 +7,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from flipdyn import Coloring, Graph, NeighboringPair, alt_vector, vigoda_vector
+
+# Every Hypothesis test draws the same examples on every run (derandomize
+# seeds each test from its own source) and stores none between runs; the
+# tests' own decorators set only max_examples.
+settings.register_profile("flipdyn", derandomize=True, deadline=None, database=None)
+settings.load_profile("flipdyn")
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:

@@ -215,6 +215,42 @@ class TestSimCommands:
         assert code == 2
 
 
+class TestUnwritableOutput:
+    """A path that cannot be written is an input error (exit 2), not a
+    failed check (exit 1)."""
+
+    def test_lp_solve_out(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "sol.json")
+        code, _, err = run(["lp", "solve", "--kind", "tight", "--out", path], capsys)
+        assert code == 2
+        assert f"input error: cannot write {path}" in err
+
+    def test_construct_out(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "pair.txt")
+        code, _, err = run(
+            ["construct", "--index", "3", "--d", "2", "--k", "5", "--out", path], capsys
+        )
+        assert code == 2
+        assert f"input error: cannot write {path}" in err
+
+    @pytest.mark.parametrize("command", [["couple"], ["stages", "--color", "2"], ["gamma"]])
+    def test_sim_csv_fails_before_any_replica(self, command, tmp_path, capsys, monkeypatch):
+        import flipdyn.experiments as experiments
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("replicas ran before the CSV path was checked")
+
+        monkeypatch.setattr(experiments, "_map_replicas", no_replicas)
+        path = str(tmp_path / "missing" / "rows.csv")
+        code, _, err = run(
+            ["sim", *command, "--construction", "1", "--d", "2", "--k", "6",
+             "--replicas", "10", "--csv", path],
+            capsys,
+        )
+        assert code == 2
+        assert f"input error: cannot write {path}" in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

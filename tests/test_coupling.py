@@ -15,6 +15,7 @@ from flipdyn import (
     FlipProbabilities,
     Graph,
     InputError,
+    InvariantError,
     NeighboringPair,
     alt_vector,
     alternating_component,
@@ -28,7 +29,14 @@ from flipdyn import (
     variable_length_coupling,
     vigoda_vector,
 )
-from flipdyn.coupling import CoupledWalk, _difference_moves, difference_sets, is_terminating
+import flipdyn.coupling as coupling
+from flipdyn.coupling import (
+    CoupledWalk,
+    _difference_moves,
+    _difference_raw,
+    difference_sets,
+    is_terminating,
+)
 from flipdyn.graphs import hamming
 
 from conftest import neighboring_pairs
@@ -324,7 +332,7 @@ def check_block_properties(pair, probs):
             assert pair.delta(c) == 0 and c not in (pair.s, pair.t)
 
 
-PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+PROPERTY_SETTINGS = settings(max_examples=200)
 
 
 class TestBlockProperties:
@@ -339,7 +347,146 @@ class TestBlockProperties:
     def test_improper_pairs(self, pair, vec):
         check_block_properties(pair, VECTORS[vec])
 
-    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @settings(max_examples=40)
     @given(pair=bounded_degree_pairs(proper=False))
     def test_walk_d_test(self, pair):
         assert_walk_d_test_matches_labels(pair)
+
+
+def walk_cache_mismatches(pair, probs, seed, step_cap=300):
+    """Drive a seeded walk and, after every step, compare its sampling
+    table (rebuilt from the kept blocks where some were dropped) with a
+    fresh one built from scratch for its current pair: the moves as
+    (flips, exact mass), the draw budget _q, and the cumulative floats
+    with ==.  Returns the number of states checked and whether one
+    differed; the walk stops at the first that does."""
+    walk = CoupledWalk(pair, probs, np.random.default_rng(seed))
+    checked = 0
+    while True:
+        if walk._dirty:
+            walk._rebuild()
+        fresh, labels = _difference_moves(walk.pair, probs)
+        cached = [(sf, tf, F(num, walk._den)) for sf, tf, num in walk._moves]
+        q = (walk.n + sum(len(f[0]) for f in labels)) / walk.nk
+        cum = list(itertools.accumulate(float(m.mass) for m in fresh))
+        checked += 1
+        if (cached != [(m.sigma_flip, m.tau_flip, m.mass) for m in fresh]
+                or walk._q != q or walk._move_cum != cum):
+            return checked, True
+        if walk.steps >= step_cap:
+            return checked, False
+        walk.step()
+        if walk._final is not None:
+            return checked, False
+
+
+CACHE_CONSTRUCTIONS = [(i, d, k) for i in (1, 2, 3, 4) for d, k in ((4, 8), (6, 11))]
+
+
+class TestWalkBlockCache:
+    """The walk's kept blocks always give the table a full rebuild gives."""
+
+    @settings(max_examples=100)
+    @given(pair=bounded_degree_pairs(proper=True), vec=st.sampled_from(sorted(VECTORS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_proper_pairs(self, pair, vec, seed):
+        for i in range(10):
+            assert not walk_cache_mismatches(pair, VECTORS[vec], seed + i)[1]
+
+    @settings(max_examples=100)
+    @given(pair=bounded_degree_pairs(proper=False), vec=st.sampled_from(sorted(VECTORS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_improper_pairs(self, pair, vec, seed):
+        for i in range(10):
+            assert not walk_cache_mismatches(pair, VECTORS[vec], seed + i)[1]
+
+    @pytest.mark.parametrize("vec", sorted(VECTORS))
+    @pytest.mark.parametrize("index,d,k", CACHE_CONSTRUCTIONS)
+    def test_constructions(self, index, d, k, vec):
+        pair = build_construction(ConstructionSpec(index, d, k))
+        total = 0
+        for seed in range(40):
+            checked, differ = walk_cache_mismatches(pair, VECTORS[vec], seed)
+            assert not differ, seed
+            total += checked
+        assert total >= 200
+
+    @staticmethod
+    def _own_color_only(entry, comp, lo, hi):
+        # the color test narrowed to the block's last color: c for a
+        # generic block, t for the disagreement block
+        own = entry.colors[-1:]
+        return (lo in own or hi in own) and not comp.isdisjoint(entry.reads)
+
+    @pytest.mark.parametrize("mutant", ["colors", "reads"])
+    def test_a_narrowed_drop_rule_is_caught(self, mutant, monkeypatch):
+        # Leaving out either test of the drop rule only drops more blocks,
+        # which stays correct; narrowing one keeps blocks that changed.
+        if mutant == "colors":
+            monkeypatch.setattr(coupling._CachedBlock, "stale_after", self._own_color_only)
+        else:
+            # the read set without the neighbors of the visited vertices
+            monkeypatch.setattr(coupling, "_closed_neighborhood", lambda g, vs: frozenset(vs))
+        differ = 0
+        for index in (1, 2, 3, 4):
+            pair = build_construction(ConstructionSpec(index, 6, 11))
+            for seed in range(4):
+                differ += walk_cache_mismatches(pair, mixed_vector(), seed)[1]
+        assert differ >= 2
+
+
+class TestWalkCounters:
+    def test_blocks_built_and_reused_are_pinned(self):
+        pair = build_construction(ConstructionSpec(1, 6, 11))
+        walk = CoupledWalk(pair, mixed_vector(), np.random.default_rng(10))
+        rec = walk.run_until_distance_change(10**5)
+        assert (rec.t_stop, rec.final_distance) == (35, 0)
+        # 8 rebuilds of 10 blocks; the first is a full build
+        assert (walk.blocks_built, walk.blocks_reused) == (29, 51)
+
+
+_GENERIC_MOVES = coupling._GenericBlock.moves
+
+
+def _inflate_first_block(monkeypatch, extra):
+    """Add extra to the integer mass of the first move of the first
+    generic block built."""
+    done = []
+
+    def inflated(self, probs):
+        out = _GENERIC_MOVES(self, probs)
+        if out and not done:
+            done.append(self.c)
+            sf, tf, num = out[0]
+            out[0] = (sf, tf, num + extra)
+        return out
+
+    monkeypatch.setattr(coupling._GenericBlock, "moves", inflated)
+
+
+class TestExactBudgets:
+    """Both mass budgets are checked exactly: one unit over L * n * k
+    beyond the budget raises, the budget itself does not."""
+
+    def test_walk_draw_budget(self, monkeypatch):
+        pair, probs = build_construction(ConstructionSpec(1, 6, 11)), mixed_vector()
+        raw, labels = _difference_raw(pair, probs)
+        q_draws = pair.graph.n + sum(len(f[0]) for f in labels)
+        slack = probs.scale * q_draws - sum(num for _, _, num in raw)
+        assert slack > 0
+        _inflate_first_block(monkeypatch, slack)
+        CoupledWalk(pair, probs, np.random.default_rng(0))._rebuild()
+        _inflate_first_block(monkeypatch, slack + 1)
+        with pytest.raises(InvariantError, match="draw budget"):
+            CoupledWalk(pair, probs, np.random.default_rng(0))._rebuild()
+
+    def test_distribution_total(self, monkeypatch):
+        pair, probs = build_construction(ConstructionSpec(1, 6, 11)), mixed_vector()
+        den = probs.scale * pair.graph.n * pair.k
+        slack = greedy_coupling_distribution(pair, probs).noop_mass * den
+        assert slack.denominator == 1 and slack > 0
+        _inflate_first_block(monkeypatch, int(slack))
+        assert greedy_coupling_distribution(pair, probs).noop_mass == 0
+        _inflate_first_block(monkeypatch, int(slack) + 1)
+        with pytest.raises(InvariantError, match="exceed 1"):
+            greedy_coupling_distribution(pair, probs)

@@ -45,6 +45,17 @@ class TestFlipProbabilities:
         assert p.mass(0) == 0
         assert p.mass_float(2) == 0.5
 
+    def test_integer_masses_over_one_scale(self):
+        # scale is the lcm of the denominators: the smallest L with every
+        # p_alpha * L an integer
+        assert vigoda_vector().scale == 84
+        assert alt_vector().scale == 3000
+        for p in (vigoda_vector(), alt_vector(), mixed_vector()):
+            for alpha in range(0, p.n_max + 2):
+                scaled = p.mass_scaled(alpha)
+                assert type(scaled) is int
+                assert scaled == p.mass(alpha) * p.scale
+
     def test_trailing_zeros_trimmed(self):
         p = FlipProbabilities.from_values(["1", "1/2", "0", "0"])
         assert p.n_max == 2

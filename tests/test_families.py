@@ -67,7 +67,7 @@ def family_points(draw, max_n=(7, 7, 4)):
 def test_scan_and_integer_slacks_match_the_references():
     seen = collections.Counter()
 
-    @settings(derandomize=True, deadline=None, max_examples=50, database=None)
+    @settings(max_examples=50)
     @given(point=family_points(), tol=st.sampled_from([1e-12, 0.0, -1.0, 1.0]))
     def check(point, tol):
         fam, assignment, big = point
@@ -96,7 +96,7 @@ def test_scan_and_integer_slacks_match_the_references():
 def test_branch_rows_linearize_h():
     seen = collections.Counter()
 
-    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @settings(max_examples=40)
     @given(point=family_points(max_n=(7, 4, 3)))
     def check(point):
         fam, assignment, big = point

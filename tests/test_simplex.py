@@ -72,7 +72,7 @@ def solve_traced(variables, constraints, objective):
 def test_matches_reference_on_small_degenerate_programs():
     seen = collections.Counter()
 
-    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @settings(max_examples=400)
     @given(prog=small_programs())
     def check(prog):
         variables, constraints, objective = prog
