@@ -102,36 +102,24 @@ def stage_update(
     new_pair: Optional[NeighboringPair],
     move: Optional[CoupledMove],
     c: int,
-    is_first_step: bool,
 ) -> Stage:
     """Advance the stage of color c by one step of the coupled walk.
 
-    move is None for a no-op draw; new_pair is None when the step left
-    Hamming distance 1 (only terminating moves can do that, and the stage
-    is decided before the new state is needed).
+    The walk starts in the Bad stage and leaves it on its first step, so
+    prev is the Bad stage exactly on the first step.  move is None for a
+    no-op draw; new_pair is None when the step left Hamming distance 1
+    (only terminating moves can do that, and the stage is decided before
+    the new state is needed).
     """
     if prev == Stage.BAD_END:
         return Stage.BAD_END
     if prev == Stage.GOOD_END:
         raise InputError("stage walk already ended in GoodEnd")
-    terminating = move is not None and move.terminating
-
-    def lands_good() -> bool:
-        if new_pair is None:
-            return False
-        return classify_color(new_pair, c) == StateLabel.GOOD
-
-    if is_first_step:
-        if prev != Stage.BAD_STAGE:
-            raise InputError("first step must start from the Bad stage")
-        if terminating:
-            return Stage.BAD_END
-        return Stage.GOOD_STAGE if lands_good() else Stage.BAD_END
-    if prev != Stage.GOOD_STAGE:
-        raise InputError("non-first steps must start from the Good stage")
-    if terminating:
-        return Stage.GOOD_END
-    return Stage.GOOD_STAGE if lands_good() else Stage.BAD_END
+    if move is not None and move.terminating:
+        return Stage.BAD_END if prev == Stage.BAD_STAGE else Stage.GOOD_END
+    if new_pair is not None and classify_color(new_pair, c) == StateLabel.GOOD:
+        return Stage.GOOD_STAGE
+    return Stage.BAD_END
 
 
 @dataclass(frozen=True)
@@ -154,14 +142,12 @@ def stage_walk(
         step_cap = 100 * pair.graph.n * pair.k
     walk = CoupledWalk(pair, probs, rng)
     stage = Stage.BAD_STAGE
-    first = True
     while stage in (Stage.BAD_STAGE, Stage.GOOD_STAGE):
         if walk.steps >= step_cap:
             raise CapacityError(f"stage walk exceeded {step_cap} steps")
         move = walk.step()
         new_pair = walk.pair if walk._final is None else None
-        stage = stage_update(stage, new_pair, move, c, first)
-        first = False
+        stage = stage_update(stage, new_pair, move, c)
     return StageWalkResult(outcome=stage, steps=walk.steps)
 
 

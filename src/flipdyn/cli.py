@@ -22,7 +22,7 @@ from . import lp as lp_mod
 from .constructions import ConstructionSpec, build_construction
 from .coupling import greedy_coupling_distribution
 from .dynamics import flip_step_distribution, resolve_probabilities, stationary_check_tiny
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, create_output
 from .experiments import (
     ExperimentConfig,
     estimate_gamma_empirical,
@@ -86,6 +86,7 @@ def _cmd_lp_build(args) -> int:
 
 def _cmd_lp_solve(args) -> int:
     inst = _build_lp_from_args(args)
+    create_output(args.out)
     sol = lp_mod.solve(inst)
     if sol.status != "optimal":
         print(f"status: {sol.status}", file=sys.stderr)

@@ -20,16 +20,17 @@ flip distribution.  A color absent from the neighborhood (delta_c = 0) is
 the degenerate generic block: both sides are {v}, there are no entries,
 and its one move coalesces.
 
-The colors s and t share one disagreement block built from the
-{s,t}-colored subgraph with v removed: its components are classified by
-whether they attach to v through s-colored neighbors (reaching v on the
-tau side), t-colored neighbors (sigma side), or both.  When no component
-attaches both ways the two sides pair independently, which on a proper
-pair reduces to two singleton coalescing moves; when a component
-attaches both ways the two big components are paired directly against
-each other, which keeps every mass nonnegative and both marginals exact
-(the per-side pairing used for the generic blocks can go negative
-there).
+The colors s and t share one disagreement block whose components are the
+generic formulas at c = s and c = t, all alternating components: the big
+components S_sigma(v,t) and S_tau(v,s), S_sigma(x,t) for each s-colored
+neighbor x and S_tau(y,s) for each t-colored neighbor y.  A neighbor's
+component is the big one on its side when it reaches v, i.e. when its
+{s,t}-component attaches to v both ways.  When none does the two sides
+pair independently, which on a proper pair reduces to two singleton
+coalescing moves; otherwise the two big components are paired directly
+against each other, which keeps every mass nonnegative and both
+marginals exact (the per-side pairing used for the generic blocks can go
+negative there).
 
 A move is terminating when one of its flips is in D: rooted at v, or the
 component of a neighbor of v flipped toward the opposite disagreement
@@ -255,86 +256,46 @@ class _GenericBlock:
         )
 
 
+def _neighbor_components(
+    g: Graph, col: Coloring, nbrs: Sequence[int], c: int, big: frozenset[int]
+) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """Each neighbor's alternating component toward c, and the distinct
+    ones other than big in neighbor order.  A neighbor inside big, or
+    inside a component already found, reuses it instead of searching."""
+    comps: list[frozenset[int]] = []
+    pure: list[frozenset[int]] = []
+    for u in nbrs:
+        comp = big if u in big else next((p for p in pure if u in p), None)
+        if comp is None:
+            comp = alternating_component(g, col, u, c)
+            pure.append(comp)
+        comps.append(comp)
+    return comps, pure
+
+
 class _DisagreementBlock:
     """Unified block for the two disagreement colors s and t.  Its moves
     depend only on which of s and t each vertex of N[visited()] carries."""
 
     def __init__(self, pair: NeighboringPair):
-        g, sig, v = pair.graph, pair.sigma, pair.v
+        g, sig, tau, v = pair.graph, pair.sigma, pair.tau, pair.v
         s, t = pair.s, pair.t
         self.s, self.t, self.v = s, t, v
         self.colors = (s, t)
         self.x = pair.neighbors_colored(s)
         self.y = pair.neighbors_colored(t)
-        cols = sig.colors
-
-        # Components of the {s,t}-colored subgraph with v removed, strict
-        # alternation as everywhere else.
-        comp_of: dict[int, frozenset[int]] = {}
-
-        def component_without_v(start: int) -> frozenset[int]:
-            if start in comp_of:
-                return comp_of[start]
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    want = t if cols[w] == s else s
-                    for z in g.adj[w]:
-                        if z != v and cols[z] == want and z not in seen:
-                            seen.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            fs = frozenset(seen)
-            for w in fs:
-                comp_of[w] = fs
-            return fs
-
-        classes: list[frozenset[int]] = []
-        class_index: dict[frozenset[int], int] = {}
-        for w in self.x + self.y:
-            comp = component_without_v(w)
-            if comp not in class_index:
-                class_index[comp] = len(classes)
-                classes.append(comp)
-        has_x = [False] * len(classes)
-        has_y = [False] * len(classes)
-        for w in self.x:
-            has_x[class_index[comp_of[w]]] = True
-        for w in self.y:
-            has_y[class_index[comp_of[w]]] = True
-
-        self.classes = classes
-        self.mixed = any(hx and hy for hx, hy in zip(has_x, has_y))
-        self.pure_x = [i for i in range(len(classes)) if has_x[i] and not has_y[i]]
-        self.pure_y = [i for i in range(len(classes)) if has_y[i] and not has_x[i]]
-
-        lam: set[int] = {v}
-        for i in range(len(classes)):
-            if has_y[i]:
-                lam |= classes[i]
-        big_m: set[int] = {v}
-        for i in range(len(classes)):
-            if has_x[i]:
-                big_m |= classes[i]
-        self.lam = frozenset(lam)  # = S_sigma(v, t)
-        self.m = frozenset(big_m)  # = S_tau(v, s)
-        if self.lam != alternating_component(g, sig, v, t):
-            raise InvariantError("sigma-side disagreement component mismatch")
-        if self.m != alternating_component(g, pair.tau, v, s):
-            raise InvariantError("tau-side disagreement component mismatch")
-        # Per-neighbor entries: the sigma-side component of each s-colored
-        # neighbor and the tau-side component of each t-colored one; a
-        # mixed class reaches v and coincides with the big component.
-        self.x_sets = [self.lam if has_y[class_index[comp_of[u]]] else comp_of[u]
-                       for u in self.x]
-        self.y_sets = [self.m if has_x[class_index[comp_of[u]]] else comp_of[u]
-                       for u in self.y]
+        self.lam = alternating_component(g, sig, v, t)
+        self.m = alternating_component(g, tau, v, s)
+        # the sigma-side component of each s-colored neighbor and the
+        # tau-side component of each t-colored one; a neighbor whose
+        # {s,t}-component attaches to v both ways lies in the big one
+        self.x_sets, self.pure_x = _neighbor_components(g, sig, self.x, t, self.lam)
+        self.y_sets, self.pure_y = _neighbor_components(g, tau, self.y, s, self.m)
+        self.mixed = any(x in self.lam for x in self.x)
 
     def visited(self) -> frozenset[int]:
-        """v and every {s,t}-component attached to it: each class holds an
-        s- or t-colored neighbor, so lam and m cover them all."""
+        """v and every {s,t}-component attached to it: each holds an s- or
+        t-colored neighbor, so lam and m cover them all."""
         return self.lam | self.m
 
     def moves(self, probs: FlipProbabilities) -> list[RawMove]:
@@ -343,42 +304,37 @@ class _DisagreementBlock:
         p_lam = mass(len(self.lam))
         p_m = mass(len(self.m))
         lam, m = _mk_flip(self.lam, s, t), _mk_flip(self.m, s, t)
-        px = [len(self.classes[i]) for i in self.pure_x]
-        py = [len(self.classes[i]) for i in self.pure_y]
         out: list[RawMove] = []
-
-        def cls(i: int) -> Flip:
-            return _mk_flip(self.classes[i], s, t)
 
         if self.mixed:
             both = min(p_lam, p_m)
             _emit(out, lam, m, both)
             _emit(out, lam, None, p_lam - both)
             _emit(out, None, m, p_m - both)
-            for i in self.pure_x:
-                _emit(out, cls(i), None, mass(len(self.classes[i])))
-            for j in self.pure_y:
-                _emit(out, None, cls(j), mass(len(self.classes[j])))
+            for comp in self.pure_x:
+                _emit(out, _mk_flip(comp, s, t), None, mass(len(comp)))
+            for comp in self.pure_y:
+                _emit(out, None, _mk_flip(comp, s, t), mass(len(comp)))
             return out
 
-        if py:
-            j_hat = _argmax_lowest(py)
-            _emit(out, lam, cls(self.pure_y[j_hat]), p_lam)
-            for idx, j in enumerate(self.pure_y):
-                residual = mass(py[idx]) - (p_lam if idx == j_hat else 0)
+        if self.pure_y:
+            j_hat = _argmax_lowest([len(comp) for comp in self.pure_y])
+            _emit(out, lam, _mk_flip(self.pure_y[j_hat], s, t), p_lam)
+            for j, comp in enumerate(self.pure_y):
+                residual = mass(len(comp)) - (p_lam if j == j_hat else 0)
                 if residual < 0:
                     raise InvariantError("negative residual in disagreement block")
-                _emit(out, None, cls(j), residual)
+                _emit(out, None, _mk_flip(comp, s, t), residual)
         else:
             _emit(out, lam, None, p_lam)
-        if px:
-            i_hat = _argmax_lowest(px)
-            _emit(out, cls(self.pure_x[i_hat]), m, p_m)
-            for idx, i in enumerate(self.pure_x):
-                residual = mass(px[idx]) - (p_m if idx == i_hat else 0)
+        if self.pure_x:
+            i_hat = _argmax_lowest([len(comp) for comp in self.pure_x])
+            _emit(out, _mk_flip(self.pure_x[i_hat], s, t), m, p_m)
+            for i, comp in enumerate(self.pure_x):
+                residual = mass(len(comp)) - (p_m if i == i_hat else 0)
                 if residual < 0:
                     raise InvariantError("negative residual in disagreement block")
-                _emit(out, cls(i), None, residual)
+                _emit(out, _mk_flip(comp, s, t), None, residual)
         else:
             _emit(out, None, m, p_m)
         return out

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .errors import CapacityError, InputError, InvariantError, output_file
 from .graphs import Coloring, Graph, alternating_component, enumerate_flips, flip, is_proper

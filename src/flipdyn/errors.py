@@ -1,5 +1,6 @@
 """Exception types shared across the package, and output_file, through
-which every file the package writes maps an OS failure to InputError.
+which every file the package writes maps an OS failure to InputError
+(create_output opens one early, before the work that fills it).
 
 The CLI maps these onto process exit codes: InputError -> 2,
 CapacityError -> 3.  InvariantError signals an internal consistency
@@ -39,3 +40,11 @@ def output_file(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
             yield fh
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}") from None
+
+
+def create_output(path: Optional[str]) -> None:
+    """Create (or truncate) path, if given, before the work that fills it,
+    so that an unwritable path fails at once rather than after the work."""
+    if path:
+        with output_file(path):
+            pass

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import InputError, output_file
 
@@ -79,10 +79,6 @@ class Coloring:
         for v, c in enumerate(self.colors):
             if not (0 <= c < self.k):
                 raise InputError(f"vertex {v} has color {c} outside 0..{self.k - 1}")
-
-    @staticmethod
-    def of(colors: Sequence[int], k: int) -> "Coloring":
-        return Coloring(tuple(colors), k)
 
     def __getitem__(self, v: int) -> int:
         return self.colors[v]

@@ -60,7 +60,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .dynamics import FlipProbabilities
 from .errors import InputError, InvariantError, output_file
@@ -584,7 +584,12 @@ def _violated_family_tuples_exact(
     return out
 
 
-def solve(lp: LPInstance, max_rounds: int = 200) -> LPSolution:
+# Constraint-generation rounds after which solve gives up; every program
+# built here converges in a handful.
+_MAX_ROUNDS = 200
+
+
+def solve(lp: LPInstance) -> LPSolution:
     """Exact optimum by constraint generation over the symbolic families.
 
     Solves the structural subset, scans the families in floats for
@@ -601,7 +606,7 @@ def solve(lp: LPInstance, max_rounds: int = 200) -> LPSolution:
     stats: list[RoundStats] = []
     while True:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _MAX_ROUNDS:
             raise InvariantError("constraint generation did not converge")
         res: SimplexResult = solve_simplex(
             lp.variables, [(dict(c.coeffs), c.rel, c.rhs) for c in active], objective

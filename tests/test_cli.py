@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +40,7 @@ class TestLpCommands:
             {"active_rows": 17, "candidates": 0, "confirmed": 0,
              "phase1_pivots": 17, "phase2_pivots": 3}
         ]
-        assert json.load(open(out_path))["status"] == "optimal"
+        assert json.loads(Path(out_path).read_text())["status"] == "optimal"
 
     def test_build_writes_lp_and_sidecar(self, tmp_path, capsys):
         path = str(tmp_path / "prog.lp")
@@ -47,8 +48,8 @@ class TestLpCommands:
             ["lp", "build", "--kind", "vigoda", "--nmax", "4", "--out", path], capsys
         )
         assert code == 0
-        assert "Minimize" in open(path).read()
-        assert json.load(open(path + ".json"))["name"] == "one-step-n4-m3"
+        assert "Minimize" in Path(path).read_text()
+        assert json.loads(Path(path + ".json").read_text())["name"] == "one-step-n4-m3"
 
     def test_slack_feasible_and_infeasible(self, capsys):
         code, out, _ = run(
@@ -150,7 +151,7 @@ class TestSimCommands:
         data = json.loads(out)
         assert data["ok"] is True
         assert data["kind"] == "couple"
-        assert len(open(csv).read().splitlines()) == 151
+        assert len(Path(csv).read_text().splitlines()) == 151
 
     def test_stages_text(self, capsys):
         code, out, _ = run(
@@ -219,10 +220,17 @@ class TestUnwritableOutput:
     """A path that cannot be written is an input error (exit 2), not a
     failed check (exit 1)."""
 
-    def test_lp_solve_out(self, tmp_path, capsys):
+    def test_lp_solve_out(self, tmp_path, capsys, monkeypatch):
+        import flipdyn.lp as lp_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the --out path was checked")
+
+        monkeypatch.setattr(lp_mod, "solve", no_solve)
         path = str(tmp_path / "missing" / "sol.json")
-        code, _, err = run(["lp", "solve", "--kind", "tight", "--out", path], capsys)
+        code, out, err = run(["lp", "solve", "--kind", "tight", "--out", path], capsys)
         assert code == 2
+        assert out == ""
         assert f"input error: cannot write {path}" in err
 
     def test_construct_out(self, tmp_path, capsys):

@@ -312,7 +312,8 @@ def bounded_degree_pairs(draw, proper: bool):
 
 def check_block_properties(pair, probs):
     """Mass 1, exact marginals, the terminating oracle, and every block
-    built without an InvariantError."""
+    built without an InvariantError: the generic blocks' decomposition
+    checks and the residual checks of every block's moves."""
     dist = greedy_coupling_distribution(pair, probs)
     assert dist.total_mass() == 1
     assert all(m.mass > 0 for m in dist.moves)
@@ -351,6 +352,30 @@ class TestBlockProperties:
     @given(pair=bounded_degree_pairs(proper=False))
     def test_walk_d_test(self, pair):
         assert_walk_d_test_matches_labels(pair)
+
+    @PROPERTY_SETTINGS
+    @given(pair=bounded_degree_pairs(proper=False))
+    def test_disagreement_entries_are_alternating_components(self, pair):
+        """The disagreement block's entries are the generic block's
+        formulas at c = s and c = t: S_tau(v,s) and S_sigma(x,t) for the
+        s-colored neighbors x on the s side, S_sigma(v,t) and S_tau(y,s)
+        for the t-colored neighbors y on the t side, None opposite."""
+        g, sig, tau, v, s, t = pair.graph, pair.sigma, pair.tau, pair.v, pair.s, pair.t
+
+        def fl(comp):
+            return coupling._mk_flip(comp, s, t)
+
+        d = difference_sets(pair)
+        want_s = [("sigma:v", None), ("tau:v", fl(alternating_component(g, tau, v, s)))]
+        for x in pair.neighbors_colored(s):
+            want_s += [(f"tau:u{x}", None),
+                       (f"sigma:u{x}", fl(alternating_component(g, sig, x, t)))]
+        want_t = [("sigma:v", fl(alternating_component(g, sig, v, t))), ("tau:v", None)]
+        for y in pair.neighbors_colored(t):
+            want_t += [(f"tau:u{y}", fl(alternating_component(g, tau, y, s))),
+                       (f"sigma:u{y}", None)]
+        assert d[s] == want_s
+        assert d[t] == want_t
 
 
 def walk_cache_mismatches(pair, probs, seed, step_cap=300):

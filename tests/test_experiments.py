@@ -3,6 +3,7 @@
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -110,14 +111,14 @@ class TestCouplingExperiment:
     def test_csv_rows(self, tmp_path):
         path = str(tmp_path / "rows.csv")
         run_coupling_experiment(cfg(replicas=80), csv_path=path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "replica,t_stop,final_distance,exceeded_cap,n_bad_pre,n_good_pre"
         assert len(lines) == 81
         assert lines[1].split(",")[0] == "0"
         # CSV bytes are part of the deterministic surface.
         path2 = str(tmp_path / "rows2.csv")
         run_coupling_experiment(cfg(replicas=80, workers=3), csv_path=path2)
-        assert open(path).read() == open(path2).read()
+        assert Path(path).read_text() == Path(path2).read_text()
 
     def test_pair_file_source(self, tmp_path):
         path = str(tmp_path / "pair.txt")
@@ -201,7 +202,7 @@ class TestStageExperiment:
             seed=9, replicas=64, construction=ConstructionSpec(1, 2, 6), workers=2
         )
         run_stage_experiment(config, 2, csv_path=path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "replica,good_end,steps,exceeded_cap"
         assert len(lines) == 65
 
@@ -234,4 +235,4 @@ class TestGammaExperiment:
             csv_path=b,
         ).to_json()
         assert ra == rb
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -304,10 +305,10 @@ class TestExport:
         inst = build_vigoda_lp(4, 3)
         path = str(tmp_path / "prog.lp")
         write_lp_file(inst, path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith("\\ one-step-n4-m3") or "Minimize" in text
         assert "base_p1" in text
-        side = json.load(open(path + ".json"))
+        side = json.loads(Path(path + ".json").read_text())
         assert side["name"] == inst.name
         assert side["objective"] == "lam"
         # Every serialized coefficient re-parses to the exact original.
@@ -322,7 +323,7 @@ class TestExport:
         sol = solve(build_tight_lp())
         path = str(tmp_path / "sol.json")
         write_solution(sol, path)
-        data = json.load(open(path))
+        data = json.loads(Path(path).read_text())
         assert data["status"] == "optimal"
         assert F(data["objective"]) == F(11, 6)
         assert F(data["assignment"]["p2"]) == F(7, 12)
