@@ -67,7 +67,6 @@ from .graphs import (
     hamming,
     is_proper,
     read_pair_file,
-    selection_mass,
     write_pair_file,
 )
 from .lp import (
@@ -134,7 +133,6 @@ __all__ = [
     "hamming",
     "is_proper",
     "read_pair_file",
-    "selection_mass",
     "resolve_probabilities",
     "run_coupling_experiment",
     "run_stage_experiment",

@@ -93,18 +93,10 @@ def _cmd_lp_solve(args) -> int:
         return 1
     obj = sol.objective_value
     if args.json:
-        payload = {
-            "status": sol.status,
-            "objective": f"{obj.numerator}/{obj.denominator}",
-            "objective_float": float(obj),
-            "assignment": {
-                v: f"{x.numerator}/{x.denominator}"
-                for v, x in sorted(sol.assignment.items())
-            },
-            "rounds": sol.rounds,
-            "active_constraints": sol.active_constraints,
-            "round_stats": [dataclasses.asdict(r) for r in sol.round_stats],
-        }
+        payload = lp_mod.solution_payload(sol)
+        payload["objective_float"] = float(obj)
+        payload["active_constraints"] = sol.active_constraints
+        payload["round_stats"] = [dataclasses.asdict(r) for r in sol.round_stats]
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(f"status: optimal")

@@ -733,7 +733,6 @@ class CoupledWalk:
         while self._final is None:
             if self.steps >= step_cap:
                 raise CapacityError(f"no distance change within {step_cap} steps")
-            before = self.pair
             self.step()
         sig, tau, d = self._final
         return TerminationRecord(
@@ -741,8 +740,8 @@ class CoupledWalk:
             final_sigma=sig,
             final_tau=tau,
             final_distance=d,
-            pre_stop_sigma=before.sigma,
-            pre_stop_tau=before.tau,
+            pre_stop_sigma=self.pair.sigma,
+            pre_stop_tau=self.pair.tau,
         )
 
 

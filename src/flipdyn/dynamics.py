@@ -33,6 +33,11 @@ def _to_fraction(x: RationalLike) -> Fraction:
         raise InputError(f"cannot parse rational value {x!r}") from None
 
 
+def fraction_str(x: Fraction) -> str:
+    """x as "p/q" in lowest terms (q = 1 included), the form _to_fraction reads."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True)
 class FlipProbabilities:
     """A validated flip probability vector with finite support.
@@ -108,7 +113,7 @@ class FlipProbabilities:
         return FlipProbabilities(tuple(fracs))
 
     def to_json(self) -> str:
-        return json.dumps({"p": [f"{p.numerator}/{p.denominator}" for p in self.values]})
+        return json.dumps({"p": [fraction_str(p) for p in self.values]})
 
     @staticmethod
     def from_json(text: str) -> "FlipProbabilities":
@@ -262,6 +267,7 @@ def stationary_check_tiny(
         raise CapacityError(f"state space {k}^{g.n} = {n_states} exceeds cap {state_cap}")
 
     failures: list[str] = []
+    sym_ok = stoch_ok = True
     transitions: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     proper_states: list[tuple[int, ...]] = []
     for state in itertools.product(range(k), repeat=g.n):
@@ -277,6 +283,7 @@ def stationary_check_tiny(
             row[tgt] = row.get(tgt, Fraction(0)) + mass
         transitions[state] = row
         if sum(row.values()) != 1:
+            stoch_ok = False
             failures.append(f"row sum != 1 at state {state}")
         if is_proper(g, col):
             proper_states.append(state)
@@ -288,6 +295,7 @@ def stationary_check_tiny(
             fwd = transitions[x].get(y, Fraction(0))
             bwd = transitions[y].get(x, Fraction(0))
             if fwd != bwd:
+                sym_ok = False
                 failures.append(f"asymmetry {x} -> {y}: {fwd} vs {bwd}")
 
     reachable = 0
@@ -302,11 +310,10 @@ def stationary_check_tiny(
                     seen.add(y)
                     stack.append(y)
         if any(not is_proper(g, Coloring(sstate, k)) for sstate in seen):
+            sym_ok = False
             failures.append("proper class not closed under flips")
         reachable = len(seen)
 
-    sym_ok = not any(f.startswith("asymmetry") or f.startswith("proper class") for f in failures)
-    stoch_ok = not any(f.startswith("row sum") for f in failures)
     return StationaryReport(
         n_states=n_states,
         proper_states=len(proper_states),

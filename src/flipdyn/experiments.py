@@ -27,7 +27,7 @@ import numpy as np
 from .classify import Stage, classify_color, gamma_bound, stage_step_masses, stage_walk, state_counts
 from .constructions import ConstructionSpec, build_construction
 from .coupling import terminating_mass, variable_length_coupling
-from .dynamics import FlipProbabilities, resolve_probabilities
+from .dynamics import FlipProbabilities, fraction_str, resolve_probabilities
 from .errors import CapacityError, InputError, create_output, output_file
 from .graphs import NeighboringPair, read_neighboring_pair
 
@@ -146,10 +146,6 @@ class ExperimentReport:
                 lines.append(f"  {name}: {'pass' if self.checks[name] else 'FAIL'}")
         lines.append(f"overall: {'ok' if self.ok else 'FAILED'}")
         return "\n".join(lines) + "\n"
-
-
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
@@ -274,13 +270,13 @@ def run_coupling_experiment(
         report.counts["max_excursion"] = max(finals)
 
     tm = terminating_mass(pair, probs)
-    report.exact["terminating_mass"] = _fraction_str(tm)
+    report.exact["terminating_mass"] = fraction_str(tm)
     p2 = probs.mass(2)
     if k > d + 2:
         lo = Fraction(k - d - 2, n * k)
         hi = Fraction(k, n * k) + Fraction(2, n * k) * p2 * d
-        report.exact["terminating_mass_low"] = _fraction_str(lo)
-        report.exact["terminating_mass_high"] = _fraction_str(hi)
+        report.exact["terminating_mass_low"] = fraction_str(lo)
+        report.exact["terminating_mass_high"] = fraction_str(hi)
         report.checks["terminating_mass_in_interval"] = lo <= tm <= hi
         drift = float(Fraction(n * k, k - d - 2))
         report.exact["t_stop_drift_bound"] = f"{n * k}/{k - d - 2}"
@@ -320,14 +316,14 @@ def run_stage_experiment(
     report.metrics["steps"] = MetricSummary.from_values([r[1] for r in rows])
 
     masses = stage_step_masses(pair, color, probs)
-    report.exact["mass_to_good"] = _fraction_str(masses.to_good)
-    report.exact["mass_terminating"] = _fraction_str(masses.terminating)
-    report.exact["bad_to_good_floor"] = _fraction_str(Fraction(4 * (k - d - 1), n * k))
+    report.exact["mass_to_good"] = fraction_str(masses.to_good)
+    report.exact["mass_terminating"] = fraction_str(masses.terminating)
+    report.exact["bad_to_good_floor"] = fraction_str(Fraction(4 * (k - d - 1), n * k))
     report.checks["bad_to_good_mass"] = masses.to_good >= Fraction(4 * (k - d - 1), n * k)
     if k > d + 2:
         gamma, _ = gamma_bound(k, d, probs.mass(2))
         target = (Fraction(k) + 2 * probs.mass(2) * d) / (gamma * n * k)
-        report.exact["good_end_target"] = _fraction_str(target)
+        report.exact["good_end_target"] = fraction_str(target)
         pg = report.metrics["p_good_end"]
         report.checks["good_end_probability"] = pg.ci_high >= float(target)
     return report
@@ -369,6 +365,6 @@ def estimate_gamma_empirical(
     )
     if k > d + 2:
         gamma, _ = gamma_bound(k, d, probs.mass(2))
-        report.exact["gamma_bound"] = _fraction_str(gamma)
+        report.exact["gamma_bound"] = fraction_str(gamma)
         report.checks["ratio_below_gamma_bound"] = ratio - Z95 * se <= float(gamma)
     return report

@@ -19,7 +19,6 @@ selections that yield the same set and pair are the same flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InputError, output_file
@@ -234,13 +233,6 @@ class NeighboringPair:
 
     def __repr__(self):
         return f"NeighboringPair(v={self.v}, s={self.s}, t={self.t}, n={self.graph.n})"
-
-
-def selection_mass(g: Graph, col: Coloring) -> Fraction:
-    """Total flip-selection mass sum |S|/(n*k); the no-op mass is 1 minus this."""
-    nk = g.n * col.k
-    total = sum(mult for mult in enumerate_flips(g, col).values())
-    return Fraction(total, nk)
 
 
 def read_pair_file(path: str) -> tuple[Graph, Coloring, Optional[Coloring]]:

@@ -32,23 +32,26 @@ burned-in trajectory.
 
 The H families are huge (tens of thousands of tuples), so LPInstance
 keeps them symbolically: solving works by constraint generation against
-an exact rational simplex, and a final exact feasibility pass over every
-tuple certifies the optimum.  A float cross-check against scipy's
-linprog on the fully expanded program is available separately.
+an exact rational simplex, and each round's exact feasibility pass over
+every tuple either finds the violations to add or certifies the optimum.
+A float cross-check against scipy's linprog on the fully expanded
+program is available separately.
 
 Each HFamily builds, on first use, one TupleTable: its tuples in
 enumeration order as int8 numpy columns (a, b, A, B, the argmax indices
 and an index into the family's lam variables).  Three passes read it,
 evaluating the min-form of H column by column in the operation order of
 h_value.  The float scan does so in float64, so its violations are
-bit-identical to a per-tuple float loop; their order decides which
-candidates enter the working set and hence the simplex's pivot path.
-The certification pass in solve and slack_report do so exactly in
-integers: p and the lam variables are scaled to L, the lcm of their
-denominators, and each tuple's slack is an integer over L, computed in
-int64 when a bound on every intermediate fits and in Python ints
-otherwise.  h_value and HFamily.tuple_slack stay the per-tuple reference;
-solve uses tuple_slack only to confirm the float candidates.
+bit-identical to a per-tuple float loop.  Floats only rank: their order
+decides which violations enter the working set and hence the simplex's
+pivot path.  scaled_slacks does so exactly in integers: p and the lam
+variables are scaled to L, the lcm of their denominators, and each
+tuple's slack is an integer over L, computed in int64 when a bound on
+every intermediate fits and in Python ints otherwise.  Every round of
+solve takes its violations, and its final certification, from that
+integer pass, as does slack_report.  h_value and HFamily.tuple_slack
+stay the per-tuple reference the tests compare against; solve calls
+neither.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .dynamics import FlipProbabilities
+from .coupling import _argmax_lowest
+from .dynamics import FlipProbabilities, fraction_str
 from .errors import InputError, InvariantError, output_file
 from .simplex import SimplexResult, solve_simplex
 
@@ -76,11 +80,6 @@ def _mass_fn(probs) -> Callable[[int], Fraction]:
         return probs.mass
     vals = list(probs)
     return lambda alpha: Fraction(vals[alpha - 1]) if 1 <= alpha <= len(vals) else ZERO
-
-
-def _argmax(v) -> int:
-    """The lowest index attaining max(v)."""
-    return max(range(len(v)), key=lambda i: (v[i], -i))
 
 
 def h_value(
@@ -101,7 +100,7 @@ def h_value(
     if len(a) != len(b) or not a:
         raise InputError("entry vectors must be nonempty and equal length")
     pm = _mass_fn(probs)
-    i_max, j_max = _argmax(a), _argmax(b)
+    i_max, j_max = _argmax_lowest(a), _argmax_lowest(b)
     pA = pm(A)
     pB = pm(B)
     total = (A - a[i_max] - 1) * pA + (B - b[j_max] - 1) * pB
@@ -214,7 +213,7 @@ class HFamily:
         H is h_value's min-form: q_i = p_{a_i} - [i = i_max] p_A and q'_i
         likewise, each a term list for _min_rows.
         """
-        i_max, j_max = _argmax(a), _argmax(b)
+        i_max, j_max = _argmax_lowest(a), _argmax_lowest(b)
         q = [[(x, 1)] + [(A, -1)] * (i == i_max) for i, x in enumerate(a)]
         qp = [[(y, 1)] + [(B, -1)] * (i == j_max) for i, y in enumerate(b)]
         terms = [(A, A - a[i_max] - 1), (B, B - b[j_max] - 1),
@@ -224,7 +223,8 @@ class HFamily:
         return _min_rows(self.label_for(a, b, A, B), terms, list(zip(q, qp)), -1, self.n_max)
 
     def tuple_slack(self, a, b, A, B, assignment: dict[str, Fraction]) -> Fraction:
-        """Exact slack of one tuple through h_value: the readable reference."""
+        """Exact slack of one tuple through h_value: the reference that
+        scaled_slacks is tested against; solve does not call it."""
         pvals = [assignment.get(_pvar(i), ZERO) for i in range(1, self.n_max + 1)]
         lam = assignment.get(self.lam_var_for(a, b, A, B), ZERO)
         return (-1 + self.m * lam) - h_value(pvals, A, B, a, b)
@@ -334,7 +334,7 @@ class TupleTable:
         flat = array(code)
         lam_index: dict[str, int] = {}
         for a, b, A, B in fam.tuples():
-            i_max, j_max = _argmax(a), _argmax(b)
+            i_max, j_max = _argmax_lowest(a), _argmax_lowest(b)
             lam = lam_index.setdefault(fam.lam_var_for(a, b, A, B), len(lam_index))
             flat.extend(a)
             flat.extend(b)
@@ -385,9 +385,8 @@ class LPInstance:
 class RoundStats:
     """The work of one constraint-generation round, as counts only.
 
-    confirmed counts the family tuples found violated in exact arithmetic:
-    among the float candidates, or by the exact certification pass when
-    the float scan confirms none.
+    confirmed counts the family tuples violated in exact arithmetic: the
+    float candidates among them, or all of them when that is none.
     """
 
     active_rows: int
@@ -571,19 +570,6 @@ def build_mixed_lp(
     )
 
 
-def _violated_family_tuples_exact(
-    lp: LPInstance, assignment: dict[str, Fraction]
-) -> list[tuple[HFamily, tuple]]:
-    """Every family tuple with negative exact slack, in tuple order."""
-    import numpy as np
-
-    out = []
-    for fam in lp.families:
-        _, s = fam.scaled_slacks(assignment)
-        out.extend((fam, fam.table.tuple_at(k)) for k in np.flatnonzero(s < 0).tolist())
-    return out
-
-
 # Constraint-generation rounds after which solve gives up; every program
 # built here converges in a handful.
 _MAX_ROUNDS = 200
@@ -592,92 +578,62 @@ _MAX_ROUNDS = 200
 def solve(lp: LPInstance) -> LPSolution:
     """Exact optimum by constraint generation over the symbolic families.
 
-    Solves the structural subset, scans the families in floats for
-    violated tuples, verifies candidates exactly, adds the maximizing
-    branch of each confirmed violation, and repeats.  Finishes with a
-    full exact feasibility pass over every family tuple; an assignment
-    optimal for the subset and feasible for the whole program is optimal
-    for the whole program.
+    Each round solves the working set exactly, then evaluates every
+    family twice at the optimum: in floats, whose violations rank the
+    candidates, and in integers (scaled_slacks), which decide them.  With
+    no exact violation the working set's optimum is feasible for the whole
+    program, hence optimal for it.  Otherwise the round adds the
+    maximizing branch of up to 50 violated tuples: the float candidates
+    that are exactly violated, largest float violation first, or the
+    first exact violations when the floats confirm none.
     """
+    import numpy as np
+
     active: list[LinearConstraint] = list(lp.constraints)
     added_labels: set[str] = set()
     objective = {lp.objective_var: Fraction(1)}
-    rounds = 0
+    n_max = lp.meta.get("n_max", 0)
     stats: list[RoundStats] = []
-    while True:
-        rounds += 1
-        if rounds > _MAX_ROUNDS:
-            raise InvariantError("constraint generation did not converge")
+    for rounds in range(1, _MAX_ROUNDS + 1):
         res: SimplexResult = solve_simplex(
             lp.variables, [(dict(c.coeffs), c.rel, c.rhs) for c in active], objective
         )
-
-        def record(candidates: int, confirmed: int) -> tuple[RoundStats, ...]:
-            stats.append(RoundStats(len(active), candidates, confirmed,
-                                    res.phase1_pivots, res.phase2_pivots))
-            return tuple(stats)
-
         if res.status != "optimal":
+            stats.append(RoundStats(len(active), 0, 0, res.phase1_pivots, res.phase2_pivots))
             return LPSolution(status=res.status, objective_value=None, assignment={},
                               rounds=rounds, active_constraints=len(active),
-                              round_stats=record(0, 0))
+                              round_stats=tuple(stats))
         assignment = res.assignment
-        n_max = lp.meta.get("n_max", 0)
-        pf = [0.0] * (n_max + 2)
-        for i in range(1, n_max + 1):
-            pf[i] = float(assignment.get(_pvar(i), ZERO))
-        lam_of = {
-            v: float(assignment.get(v, ZERO))
-            for v in lp.variables
-            if v.startswith("lam")
-        }
-
-        candidates: list[tuple[float, HFamily, tuple]] = []
+        pf = [0.0, *(float(assignment.get(_pvar(i), ZERO)) for i in range(1, n_max + 1)), 0.0]
+        lam_of = {v: float(assignment.get(v, ZERO)) for v in lp.variables if v.startswith("lam")}
+        candidates = [(viol, fam, t) for fam in lp.families
+                      for viol, t in fam.scan(pf, lam_of, tol=1e-12)]
+        exact: list[tuple[HFamily, tuple]] = []
         for fam in lp.families:
-            for viol, t in fam.scan(pf, lam_of, tol=1e-12):
-                candidates.append((viol, fam, t))
-        confirmed: list[tuple[float, HFamily, tuple]] = []
-        for viol, fam, t in candidates:
-            if fam.tuple_slack(*t, assignment) < 0:
-                confirmed.append((viol, fam, t))
-        if not confirmed:
-            # floats found nothing; certify exactly before declaring victory
-            exact_violations = _violated_family_tuples_exact(lp, assignment)
-            if not exact_violations:
-                value = assignment.get(lp.objective_var, ZERO)
-                return LPSolution(
-                    status="optimal",
-                    objective_value=value,
-                    assignment=assignment,
-                    rounds=rounds,
-                    active_constraints=len(active),
-                    round_stats=record(len(candidates), 0),
-                )
-            record(len(candidates), len(exact_violations))
-            to_add = [(0.0, fam, t) for fam, t in exact_violations[:50]]
-        else:
-            record(len(candidates), len(confirmed))
-            confirmed.sort(key=lambda e: -e[0])
-            to_add = confirmed[:50]
+            _, s = fam.scaled_slacks(assignment)
+            exact += [(fam, fam.table.tuple_at(k)) for k in np.flatnonzero(s < 0).tolist()]
+        violated = set(exact)
+        confirmed = sorted((e for e in candidates if e[1:] in violated), key=lambda e: -e[0])
+        stats.append(RoundStats(len(active), len(candidates), len(confirmed) or len(exact),
+                                res.phase1_pivots, res.phase2_pivots))
+        if not exact:
+            return LPSolution(status="optimal",
+                              objective_value=assignment.get(lp.objective_var, ZERO),
+                              assignment=assignment, rounds=rounds,
+                              active_constraints=len(active), round_stats=tuple(stats))
+        to_add = [e[1:] for e in confirmed[:50]] or exact[:50]
 
         # prune inactive previously-added family branches to keep the
         # working set small; structural constraints always stay
-        keep: list[LinearConstraint] = []
-        for c in active:
-            if c.label in added_labels and c.slack(assignment) > 0:
-                continue
-            keep.append(c)
-        active = keep
-        for _, fam, t in to_add:
-            best = None
-            for c in fam.branch_constraints(*t):
-                val = c.lhs_value(assignment) - c.rhs
-                if best is None or val > best[0]:
-                    best = (val, c)
-            c = best[1]
-            if c.label not in {a.label for a in active}:
+        active = [c for c in active if c.label not in added_labels or c.slack(assignment) <= 0]
+        labels = {c.label for c in active}
+        for fam, t in to_add:
+            c = max(fam.branch_constraints(*t), key=lambda r: r.lhs_value(assignment) - r.rhs)
+            if c.label not in labels:
                 active.append(c)
+                labels.add(c.label)
                 added_labels.add(c.label)
+    raise InvariantError("constraint generation did not converge")
 
 
 @dataclass(frozen=True)
@@ -826,9 +782,9 @@ def write_lp_file(lp: LPInstance, path: str) -> int:
             side["constraints"].append(
                 {
                     "label": c.label,
-                    "coeffs": {v: f"{coef.numerator}/{coef.denominator}" for v, coef in c.coeffs},
+                    "coeffs": {v: fraction_str(coef) for v, coef in c.coeffs},
                     "rel": c.rel,
-                    "rhs": f"{c.rhs.numerator}/{c.rhs.denominator}",
+                    "rhs": fraction_str(c.rhs),
                 }
             )
         fh.write("Bounds\n")
@@ -840,18 +796,20 @@ def write_lp_file(lp: LPInstance, path: str) -> int:
     return len(side["constraints"])
 
 
-def write_solution(sol: LPSolution, path: str) -> None:
+def solution_payload(sol: LPSolution) -> dict:
+    """status, objective, assignment and rounds, the rationals as "p/q"."""
     obj = sol.objective_value
-    payload = {
+    return {
         "status": sol.status,
-        "objective": None if obj is None else f"{obj.numerator}/{obj.denominator}",
-        "assignment": {
-            v: f"{x.numerator}/{x.denominator}" for v, x in sorted(sol.assignment.items())
-        },
+        "objective": None if obj is None else fraction_str(obj),
+        "assignment": {v: fraction_str(x) for v, x in sorted(sol.assignment.items())},
         "rounds": sol.rounds,
     }
+
+
+def write_solution(sol: LPSolution, path: str) -> None:
     with output_file(path) as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(solution_payload(sol), fh, indent=2)
         fh.write("\n")
 
 

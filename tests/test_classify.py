@@ -17,7 +17,6 @@ from flipdyn import (
     stage_step_masses,
     stage_walk,
     state_counts,
-    vigoda_vector,
 )
 
 F = Fraction

@@ -18,6 +18,7 @@ from flipdyn import (
     stationary_check_tiny,
     vigoda_vector,
 )
+import flipdyn.dynamics as dynamics
 from flipdyn.errors import CapacityError
 
 F = Fraction
@@ -177,3 +178,41 @@ class TestStationaryTiny:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(CapacityError):
             stationary_check_tiny(g, 4, vigoda_vector(), state_cap=100)
+
+    def _check_with(self, monkeypatch, state, tamper):
+        """The triangle at k = 3 with the kernel's row at state tampered."""
+        exact = dynamics.flip_step_distribution
+
+        def tampered(g, col, probs):
+            dist = exact(g, col, probs)
+            if col.colors == state:
+                tamper(dist)
+            return dist
+
+        monkeypatch.setattr(dynamics, "flip_step_distribution", tampered)
+        return stationary_check_tiny(Graph(3, [(0, 1), (0, 2), (1, 2)]), 3, vigoda_vector())
+
+    def test_row_sum_failure(self, monkeypatch):
+        def extra_noop(dist):
+            dist[None] += F(1, 100)
+
+        # (0, 0, 0) is improper, so only the row sum is off.
+        rep = self._check_with(monkeypatch, (0, 0, 0), extra_noop)
+        assert not rep.stochastic_ok
+        assert rep.symmetry_ok
+        assert not rep.ok
+        assert rep.failures == ("row sum != 1 at state (0, 0, 0)",)
+
+    def test_symmetry_failure(self, monkeypatch):
+        def shift_to_noop(dist):
+            flip_key = next(key for key in dist if key is not None)
+            dist[flip_key] -= F(1, 100)
+            dist[None] += F(1, 100)
+
+        # A proper state's row still sums to 1, but one of its flips now
+        # has less mass than its reverse.
+        rep = self._check_with(monkeypatch, (0, 1, 2), shift_to_noop)
+        assert rep.stochastic_ok
+        assert not rep.symmetry_ok
+        assert not rep.ok
+        assert len(rep.failures) == 1 and rep.failures[0].startswith("asymmetry")

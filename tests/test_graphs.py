@@ -1,7 +1,5 @@
 """Graph, coloring, and alternating-component primitives."""
 
-from fractions import Fraction
-
 import pytest
 
 from flipdyn import Coloring, Graph, InputError, NeighboringPair
@@ -12,7 +10,6 @@ from flipdyn.graphs import (
     hamming,
     is_proper,
     read_pair_file,
-    selection_mass,
     write_pair_file,
 )
 
@@ -126,7 +123,6 @@ class TestEnumerateFlips:
         # One alternating component {0,1,2} for the pair {0,1}, selected by
         # all three vertices.
         assert flips == {(frozenset({0, 1, 2}), 0, 1): 3}
-        assert selection_mass(g, col) == Fraction(3, 6)
 
     def test_total_accounts_all_draws(self):
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])

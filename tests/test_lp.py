@@ -11,6 +11,7 @@ import pytest
 
 from conftest import simplex_calls
 
+import flipdyn.lp as lp_mod
 from flipdyn import (
     InputError,
     alt_vector,
@@ -298,6 +299,39 @@ class TestMixedProgram:
         assert values[0] < MIXED_OPTIMUM < values[1] < F(11, 6)
         # The huge-gamma value sits within 1e-6 below 11/6.
         assert F(11, 6) - values[1] < F(1, 10**6)
+
+
+EXACT_PROGRAMS = {
+    "vigoda6": (lambda: build_vigoda_lp(6, 3), F(11, 6)),
+    "mixed6": (lambda: build_mixed_lp(6, 3, GAMMA_PAPER, cap3=True), MIXED_OPTIMUM),
+}
+
+
+class TestIntegersDecide:
+    """solve takes every round's violations from the integer slacks; the
+    float scan only ranks them."""
+
+    @pytest.mark.parametrize("name", EXACT_PROGRAMS)
+    def test_solve_calls_no_reference(self, monkeypatch, name):
+        def reference(*args):
+            raise AssertionError("solve evaluated a tuple through the reference")
+
+        monkeypatch.setattr(lp_mod.HFamily, "tuple_slack", reference)
+        monkeypatch.setattr(lp_mod, "h_value", reference)
+        build, value = EXACT_PROGRAMS[name]
+        assert solve(build()).objective_value == value
+
+    @pytest.mark.parametrize("name", EXACT_PROGRAMS)
+    def test_exact_violations_alone_reach_the_optimum(self, monkeypatch, name):
+        # With no float candidates each round adds the first exact
+        # violations in tuple order, and only the exact pass can stop.
+        monkeypatch.setattr(lp_mod.HFamily, "scan", lambda self, pf, lam_of, tol: [])
+        build, value = EXACT_PROGRAMS[name]
+        sol = solve(build())
+        assert (sol.objective_value, sol.rounds) == (value, 5)
+        assert [r.candidates for r in sol.round_stats] == [0] * 5
+        assert all(r.confirmed > 0 for r in sol.round_stats[:-1])
+        assert sol.round_stats[-1].confirmed == 0
 
 
 class TestExport:
