@@ -135,12 +135,13 @@ def stage_walk(
     rng,
     step_cap: Optional[int] = None,
 ) -> StageWalkResult:
-    """Track color c from a Bad pair until GoodEnd or BadEnd."""
+    """Track color c from a Bad pair until GoodEnd or BadEnd.  The walk
+    starts from the shared start table (CoupledWalk.from_start)."""
     if classify_color(pair, c) != StateLabel.BAD:
         raise InputError(f"color {c} is not Bad in the starting pair")
     if step_cap is None:
         step_cap = 100 * pair.graph.n * pair.k
-    walk = CoupledWalk(pair, probs, rng)
+    walk = CoupledWalk.from_start(pair, probs, rng)
     stage = Stage.BAD_STAGE
     while stage in (Stage.BAD_STAGE, Stage.GOOD_STAGE):
         if walk.steps >= step_cap:

@@ -588,6 +588,17 @@ class _CachedBlock:
         return (lo in colors or hi in colors) and not comp.isdisjoint(self.reads)
 
 
+# The last start table CoupledWalk.from_start built: [key, walk], the
+# walk holding the table.  Every replica of an experiment starts from the
+# same pair, so one entry serves them all.
+_START: list = [None, None]
+
+
+def _start_key(pair: NeighboringPair, probs: FlipProbabilities) -> tuple:
+    """What the start table depends on, compared by value."""
+    return (pair.graph, pair.sigma, pair.tau, probs)
+
+
 class CoupledWalk:
     """Mutable coupled trajectory with an exact-per-step fast sampler.
 
@@ -611,6 +622,15 @@ class CoupledWalk:
     num / (L * n * k), bit-identical to float(mass); the exact Fraction
     is made only for the move a step returns.  blocks_built and
     blocks_reused count the blocks each rebuild built and kept.
+
+    CoupledWalk(pair, probs, rng) is lazy: it builds every block at its
+    first rebuild.  CoupledWalk.from_start instead starts from the
+    process's shared start table for (pair, probs), built once by a full
+    _rebuild and then copied by every walk from an equal start; the
+    blocks are never mutated, so a walk copies only the list of them.
+    Such a walk skips its first rebuild, and its counters cover only the
+    rebuilds it performs itself: at the start every block counts as
+    neither built nor reused.
     """
 
     def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng):
@@ -636,6 +656,25 @@ class CoupledWalk:
         self._q = 0.0
         self._idx = _BATCH  # force refill
         self._vs = self._cs = self._us = None
+
+    @classmethod
+    def from_start(cls, pair: NeighboringPair, probs: FlipProbabilities,
+                   rng) -> "CoupledWalk":
+        """A walk from pair that starts with the shared start table: the
+        table a full rebuild at pair gives, built once per process for an
+        equal (pair, probs)."""
+        key = _start_key(pair, probs)
+        if _START[0] != key:
+            table = cls(pair, probs, None)
+            table._rebuild()
+            _START[:] = [key, table]
+        table = _START[1]
+        walk = cls(pair, probs, rng)
+        walk._keys = table._keys
+        walk._cache = list(table._cache)
+        walk._moves, walk._move_cum, walk._q = table._moves, table._move_cum, table._q
+        walk._dirty = False
+        return walk
 
     def _refill(self):
         self._vs = self.rng.integers(self.n, size=_BATCH)
@@ -706,7 +745,7 @@ class CoupledWalk:
                 _, lo, hi = drawn
                 sig = flip(self.pair.sigma, comp, lo, hi)
                 tau = flip(self.pair.tau, comp, lo, hi)
-                self.pair = NeighboringPair(self.g, sig, tau)
+                self.pair = self.pair._flipped_off_v(sig, tau)
                 self._drop(comp, lo, hi)
                 return CoupledMove(drawn, drawn, Fraction(0), False)
             return None
@@ -757,8 +796,9 @@ def variable_length_coupling(
     Terminating moves can relocate the disagreement vertex while keeping
     the distance at 1; the walk continues through those.  step_cap
     defaults to 100 * n * k and a walk exceeding it raises CapacityError.
+    The walk starts from the shared start table (CoupledWalk.from_start).
     """
     if step_cap is None:
         step_cap = 100 * pair.graph.n * pair.k
-    walk = CoupledWalk(pair, probs, rng)
+    walk = CoupledWalk.from_start(pair, probs, rng)
     return walk.run_until_distance_change(step_cap)

@@ -249,7 +249,8 @@ def run_coupling_experiment(
     Reports E[T_stop] against the drift bound nk/(k - d - 2), the mean
     final distance (and minus one), the largest single-run excursion
     against the width 2 n_max + 1, and the exact terminating-mass
-    interval at the start state.  Cap overruns are counted, not fatal.
+    interval at the start state.  Cap overruns are counted, not fatal,
+    but with no replica completed the checks on the completed ones fail.
     Requires k >= d + 2 for the comparisons to make sense.
     """
     pair = config.resolve_pair()
@@ -280,13 +281,12 @@ def run_coupling_experiment(
         report.checks["terminating_mass_in_interval"] = lo <= tm <= hi
         drift = float(Fraction(n * k, k - d - 2))
         report.exact["t_stop_drift_bound"] = f"{n * k}/{k - d - 2}"
-        if done:
-            ts = report.metrics["t_stop"]
-            report.checks["t_stop_within_drift_bound"] = ts.ci_low <= drift
+        report.checks["t_stop_within_drift_bound"] = (
+            bool(done) and report.metrics["t_stop"].ci_low <= drift)
     w = 2 * probs.n_max + 1
     report.counts["excursion_width_limit"] = w
-    if done:
-        report.checks["excursion_within_width"] = report.counts["max_excursion"] <= w
+    report.checks["excursion_within_width"] = (
+        bool(done) and report.counts["max_excursion"] <= w)
     return report
 
 

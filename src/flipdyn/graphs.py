@@ -85,6 +85,14 @@ class Coloring:
     def __len__(self) -> int:
         return len(self.colors)
 
+    @classmethod
+    def _unchecked(cls, colors: tuple[int, ...], k: int) -> "Coloring":
+        """A Coloring whose entries the caller has already checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "colors", colors)
+        object.__setattr__(out, "k", k)
+        return out
+
     def recolor(self, changes: dict[int, int]) -> "Coloring":
         cols = list(self.colors)
         for v, c in changes.items():
@@ -139,6 +147,8 @@ def flip(col: Coloring, s: frozenset[int], base: int, other: int) -> Coloring:
 
     Every vertex of s must currently carry base or other; anything else is
     rejected.  Applying the same flip twice returns the original coloring.
+    Only the entries of s change, and each is checked here, so the result
+    skips Coloring's check of every entry.
     """
     if base == other:
         raise InputError("flip colors must differ")
@@ -155,7 +165,7 @@ def flip(col: Coloring, s: frozenset[int], base: int, other: int) -> Coloring:
             raise InputError(
                 f"vertex {w} colored {cw}, not in flip pair ({base},{other})"
             )
-    return Coloring(tuple(cols), col.k)
+    return Coloring._unchecked(tuple(cols), col.k)
 
 
 def enumerate_flips(g: Graph, col: Coloring) -> dict[tuple[frozenset[int], int, int], int]:
@@ -208,11 +218,28 @@ class NeighboringPair:
         self.v = diff[0]
         self.s = sigma.colors[self.v]
         self.t = tau.colors[self.v]
+        self._delta = self._neighbor_counts()
+
+    def _neighbor_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
-        for u in graph.adj[self.v]:
-            cu = sigma.colors[u]
+        cols = self.sigma.colors
+        for u in self.graph.adj[self.v]:
+            cu = cols[u]
             counts[cu] = counts.get(cu, 0) + 1
-        self._delta = counts
+        return counts
+
+    def _flipped_off_v(self, sigma: Coloring, tau: Coloring) -> "NeighboringPair":
+        """The pair after one flip applied to both sides away from v.
+
+        The caller guarantees that the flip's component misses v, so v, s
+        and t are unchanged and the two sides still differ at v alone;
+        only delta is recounted, over the neighbors of v.
+        """
+        out = object.__new__(NeighboringPair)
+        out.graph, out.sigma, out.tau = self.graph, sigma, tau
+        out.v, out.s, out.t = self.v, self.s, self.t
+        out._delta = out._neighbor_counts()
+        return out
 
     @property
     def k(self) -> int:

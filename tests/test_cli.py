@@ -175,6 +175,21 @@ class TestSimCommands:
         assert code == 0
         assert "ratio_below_gamma_bound: pass" in out
 
+    @pytest.mark.parametrize("command", ["couple", "gamma"])
+    def test_no_completed_replica_fails(self, command, capsys):
+        # every replica exceeds the cap, so nothing supports the checks
+        code, out, _ = run(
+            [
+                "sim", command, "--construction", "1", "--d", "6", "--k", "11",
+                "--replicas", "4", "--step-cap", "1", "--seed", "3", "--json",
+            ],
+            capsys,
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert data["counts"]["completed"] == 0
+
     def test_construction_needs_d_and_k(self, capsys):
         code, _, err = run(
             ["sim", "couple", "--construction", "2", "--replicas", "10"], capsys

@@ -12,19 +12,23 @@ from flipdyn import (
     CapacityError,
     Coloring,
     ConstructionSpec,
+    FlipDynError,
     FlipProbabilities,
     Graph,
     InputError,
     InvariantError,
     NeighboringPair,
+    StateLabel,
     alt_vector,
     alternating_component,
     build_construction,
+    classify_color,
     expected_distance_change,
     flip_step_distribution,
     greedy_coupling_distribution,
     mixed_vector,
     signature,
+    stage_walk,
     terminating_mass,
     variable_length_coupling,
     vigoda_vector,
@@ -378,16 +382,28 @@ class TestBlockProperties:
         assert d[t] == want_t
 
 
+def assert_pair_is_fresh(pair):
+    """pair, however the walk made it, is the NeighboringPair validated
+    from scratch from its two colorings: same v, s, t and delta."""
+    k = pair.k
+    fresh = NeighboringPair(pair.graph, Coloring(pair.sigma.colors, k),
+                            Coloring(pair.tau.colors, k))
+    assert (pair.v, pair.s, pair.t) == (fresh.v, fresh.s, fresh.t)
+    assert [pair.delta(c) for c in range(k)] == [fresh.delta(c) for c in range(k)]
+
+
 def walk_cache_mismatches(pair, probs, seed, step_cap=300):
     """Drive a seeded walk and, after every step, compare its sampling
     table (rebuilt from the kept blocks where some were dropped) with a
     fresh one built from scratch for its current pair: the moves as
     (flips, exact mass), the draw budget _q, and the cumulative floats
     with ==.  Returns the number of states checked and whether one
-    differed; the walk stops at the first that does."""
+    differed; the walk stops at the first that does.  The walk's pair
+    itself must equal a freshly validated one after every step."""
     walk = CoupledWalk(pair, probs, np.random.default_rng(seed))
     checked = 0
     while True:
+        assert_pair_is_fresh(walk.pair)
         if walk._dirty:
             walk._rebuild()
         fresh, labels = _difference_moves(walk.pair, probs)
@@ -460,6 +476,75 @@ class TestWalkBlockCache:
         assert differ >= 2
 
 
+def retargeted(pair):
+    """pair with tau(v) moved to the lowest color free at v: the same
+    graph and sigma, another tau."""
+    t = next(c for c in range(pair.k) if c not in (pair.s, pair.t) and not pair.delta(c))
+    return NeighboringPair(pair.graph, pair.sigma, pair.sigma.recolor({pair.v: t}))
+
+
+def lazily(fn, *args):
+    """fn(*args) with every walk built lazily, as CoupledWalk(pair, probs, rng)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoupledWalk, "from_start",
+                   classmethod(lambda cls, pair, probs, rng: cls(pair, probs, rng)))
+        return fn(*args)
+
+
+def outcome(fn, *args):
+    """fn's record, or the class of the package error it raised."""
+    try:
+        return fn(*args)
+    except FlipDynError as e:
+        return type(e)
+
+
+def shared_start_mismatches(seeds):
+    """Compare variable_length_coupling and stage_walk, which start from
+    the shared start table, with the same calls on lazily built walks.
+    Each construction at d=6, k=11 runs with every vector in turn, then
+    its retargeted pair (same graph and sigma) with the vectors in
+    reverse, so each call differs from the one before only in the vector,
+    only in tau, or in the whole pair.  Returns the number of calls whose
+    records differ (a call that raises differs)."""
+    starts = []
+    for index in (1, 2, 3, 4):
+        pair = build_construction(ConstructionSpec(index, 6, 11))
+        for p in (pair, retargeted(pair)):
+            bad = [c for c in range(p.k) if classify_color(p, c) == StateLabel.BAD]
+            starts.append((p, bad))
+    assert sum(len(bad) for _, bad in starts) >= 3
+    vecs = sorted(VECTORS)
+    differ = 0
+    for seed in seeds:
+        for i, (pair, bad) in enumerate(starts):
+            for vec in vecs if i % 2 == 0 else vecs[::-1]:
+                calls = [(variable_length_coupling, (pair,))]
+                calls += [(stage_walk, (pair, c)) for c in bad]
+                for fn, head in calls:
+                    lazy = lazily(fn, *head, VECTORS[vec], np.random.default_rng(seed))
+                    shared = outcome(fn, *head, VECTORS[vec], np.random.default_rng(seed))
+                    differ += shared != lazy
+    return differ
+
+
+class TestSharedStart:
+    """A walk from the shared start table runs exactly as a lazy one."""
+
+    def test_same_records_as_lazy_walks(self):
+        assert shared_start_mismatches(range(50)) == 0
+
+    @pytest.mark.parametrize("mutant", ["probs", "tau"])
+    def test_a_key_missing_probs_or_tau_is_caught(self, mutant, monkeypatch):
+        if mutant == "probs":
+            key = lambda pair, probs: (pair.graph, pair.sigma, pair.tau)
+        else:
+            key = lambda pair, probs: (pair.graph, pair.sigma, probs)
+        monkeypatch.setattr(coupling, "_start_key", key)
+        monkeypatch.setattr(coupling, "_START", [None, None])
+        assert shared_start_mismatches(range(3)) > 0
+
+
 class TestWalkCounters:
     def test_blocks_built_and_reused_are_pinned(self):
         pair = build_construction(ConstructionSpec(1, 6, 11))
@@ -468,6 +553,15 @@ class TestWalkCounters:
         assert (rec.t_stop, rec.final_distance) == (35, 0)
         # 8 rebuilds of 10 blocks; the first is a full build
         assert (walk.blocks_built, walk.blocks_reused) == (29, 51)
+
+    def test_a_shared_start_skips_the_full_build(self):
+        pair = build_construction(ConstructionSpec(1, 6, 11))
+        walk = CoupledWalk.from_start(pair, mixed_vector(), np.random.default_rng(10))
+        rec = walk.run_until_distance_change(10**5)
+        assert (rec.t_stop, rec.final_distance) == (35, 0)
+        # the same 8 rebuilds, but the first builds only the 2 blocks the
+        # identity flips before it dropped from the start table
+        assert (walk.blocks_built, walk.blocks_reused) == (21, 59)
 
 
 _GENERIC_MOVES = coupling._GenericBlock.moves

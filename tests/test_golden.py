@@ -15,7 +15,8 @@ row of all_constraints() (label, coefficients, relation, right-hand side,
 in order) and the sha256 of the files and stdout of `flipdyn lp build`,
 captured before the row builders were shared.  The sim/ files are the exact
 --json reports and CSVs of `flipdyn sim couple|stages|gamma` for fixed
-seeds; every run must reproduce them at one worker and at two.
+seeds; every run must reproduce them at one worker and at two.  The
+demos/ files are the stdout of the three scripts under demos/.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,6 +61,7 @@ from flipdyn.cli import main as cli_main
 from flipdyn.coupling import _difference_moves
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 VECTORS = {"vigoda": vigoda_vector(), "alt": alt_vector(), "mixed": mixed_vector()}
 
@@ -322,3 +327,12 @@ def test_sim_output(name, workers, tmp_path, capsys):
     report, rows = run_sim(SIM_RUNS[name] + ["--workers", str(workers)], tmp_path, capsys)
     assert report == (GOLDEN / "sim" / f"{name}.json").read_text()
     assert rows == (GOLDEN / "sim" / f"{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "demos").glob("*.py")))
+def test_demo_stdout(name):
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "demos" / f"{name}.txt").read_text()

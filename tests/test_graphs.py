@@ -1,6 +1,8 @@
 """Graph, coloring, and alternating-component primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipdyn import Coloring, Graph, InputError, NeighboringPair
 from flipdyn.graphs import (
@@ -113,6 +115,36 @@ class TestFlip:
             flip(col, frozenset({2}), 0, 1)
         with pytest.raises(InputError):
             flip(col, frozenset({0}), 1, 1)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_equals_a_validated_coloring(self, data):
+        # flip builds its result without Coloring's check of every entry;
+        # the result must still be the Coloring the checked path builds,
+        # and every entry flip changes is still checked.
+        k = data.draw(st.integers(2, 6))
+        colors = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=10))
+        base, other = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                         unique=True))
+        col = Coloring(tuple(colors), k)
+        pair_vertices = [w for w, c in enumerate(colors) if c in (base, other)]
+        comp = frozenset(data.draw(st.sets(st.sampled_from(pair_vertices)))
+                         if pair_vertices else ())
+        swap = {base: other, other: base}
+        want = tuple(swap[c] if w in comp else c for w, c in enumerate(colors))
+        out = flip(col, comp, base, other)
+        assert out == Coloring(want, k)
+        assert flip(out, comp, base, other) == col
+
+        foreign = [w for w, c in enumerate(colors) if c not in (base, other)]
+        if foreign:
+            with pytest.raises(InputError, match="not in flip pair"):
+                flip(col, comp | {data.draw(st.sampled_from(foreign))}, base, other)
+        bad = data.draw(st.sampled_from([-1, k, k + 3]))
+        with pytest.raises(InputError, match="out of range"):
+            flip(col, comp, bad, other)
+        with pytest.raises(InputError, match="out of range"):
+            flip(col, comp, base, bad)
 
 
 class TestEnumerateFlips:
