@@ -34,7 +34,6 @@ from .coupling import (
 )
 from .dynamics import FlipProbabilities
 from .errors import CapacityError, InputError
-from .graphs import hamming
 
 # The two-neighbor block shapes whose one-step cost is extremal; a color
 # is Bad exactly when its signature matches one of them.
@@ -107,9 +106,9 @@ def stage_update(
 
     The walk starts in the Bad stage and leaves it on its first step, so
     prev is the Bad stage exactly on the first step.  move is None for a
-    no-op draw; new_pair is None when the step left Hamming distance 1
-    (only terminating moves can do that, and the stage is decided before
-    the new state is needed).
+    no-op draw.  new_pair is the pair after the step; a terminating move
+    decides the stage without reading it, so there it may be None or
+    stale (only such a move can leave Hamming distance 1).
     """
     if prev == Stage.BAD_END:
         return Stage.BAD_END
@@ -135,8 +134,9 @@ def stage_walk(
     rng,
     step_cap: Optional[int] = None,
 ) -> StageWalkResult:
-    """Track color c from a Bad pair until GoodEnd or BadEnd.  The walk
-    starts from the shared start table (CoupledWalk.from_start)."""
+    """Track color c from a Bad pair until GoodEnd or BadEnd: one coupled
+    walk from the shared start table (CoupledWalk.from_start), its stage
+    advanced by stage_update after every step."""
     if classify_color(pair, c) != StateLabel.BAD:
         raise InputError(f"color {c} is not Bad in the starting pair")
     if step_cap is None:
@@ -147,8 +147,7 @@ def stage_walk(
         if walk.steps >= step_cap:
             raise CapacityError(f"stage walk exceeded {step_cap} steps")
         move = walk.step()
-        new_pair = walk.pair if walk._final is None else None
-        stage = stage_update(stage, new_pair, move, c)
+        stage = stage_update(stage, walk.pair, move, c)
     return StageWalkResult(outcome=stage, steps=walk.steps)
 
 
@@ -164,33 +163,21 @@ class StageStepMasses:
 def stage_step_masses(
     pair: NeighboringPair, c: int, probs: FlipProbabilities
 ) -> StageStepMasses:
-    """Enumerate one coupled step exactly and bucket the mass for color c.
+    """Enumerate one coupled step exactly and bucket its mass by the stage
+    stage_update gives it from the Good stage: GoodStage is to_good,
+    GoodEnd is terminating and BadEnd is leave_good.
 
-    No-op mass lands in neither bucket for terminating, and counts toward
-    to_good / leave_good according to the unchanged pair's state.
+    The no-op mass thus counts toward to_good or leave_good according to
+    the unchanged pair's state of c, never toward terminating.
     """
     dist = greedy_coupling_distribution(pair, probs)
-    to_good = Fraction(0)
-    term = Fraction(0)
-    leave = Fraction(0)
-    stays_good = classify_color(pair, c) == StateLabel.GOOD
+    mass = dict.fromkeys((Stage.GOOD_STAGE, Stage.GOOD_END, Stage.BAD_END), Fraction(0))
+    mass[stage_update(Stage.GOOD_STAGE, pair, None, c)] += dist.noop_mass
     for m in dist.moves:
-        if m.terminating:
-            term += m.mass
-            continue
-        sig, tau = m.apply(pair)
-        if hamming(sig, tau) != 1:
-            raise InputError("non-terminating move changed the distance")
-        new_pair = NeighboringPair(pair.graph, sig, tau)
-        if classify_color(new_pair, c) == StateLabel.GOOD:
-            to_good += m.mass
-        else:
-            leave += m.mass
-    if stays_good:
-        to_good += dist.noop_mass
-    else:
-        leave += dist.noop_mass
-    return StageStepMasses(to_good=to_good, terminating=term, leave_good=leave)
+        new_pair = None if m.terminating else NeighboringPair(pair.graph, *m.apply(pair))
+        mass[stage_update(Stage.GOOD_STAGE, new_pair, m, c)] += m.mass
+    return StageStepMasses(to_good=mass[Stage.GOOD_STAGE], terminating=mass[Stage.GOOD_END],
+                           leave_good=mass[Stage.BAD_END])
 
 
 def gamma_bound(k: int, d: int, p2: Fraction) -> tuple[Fraction, Fraction]:

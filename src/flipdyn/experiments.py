@@ -3,9 +3,12 @@
 Replicas are independent: replica i draws from a Philox stream keyed by
 (seed, i), so results do not depend on scheduling, and reports are
 aggregated in replica order.  Identical configs therefore produce
-byte-identical reports regardless of worker count.  Workers are
-processes (each owns its colorings and random stream); worker count 0
-means automatic.
+byte-identical reports regardless of worker count.  Workers are forked
+processes that read the parent's resolved pair and vector; worker count
+0 means automatic, and without fork replicas run in-process.  Every
+command runs its replicas through one harness (_replicas): a replica
+that exceeds the step cap is in the CSV and counted in exceeded_cap,
+but left out of every metric.
 
 Each report carries normal-approximation 95% confidence intervals and,
 where a single-step quantity has an exact enumeration counterpart
@@ -24,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import Stage, classify_color, gamma_bound, stage_step_masses, stage_walk, state_counts
+from .classify import (Stage, StateLabel, classify_color, gamma_bound, stage_step_masses,
+                       stage_walk, state_counts)
 from .constructions import ConstructionSpec, build_construction
 from .coupling import terminating_mass, variable_length_coupling
 from .dynamics import FlipProbabilities, fraction_str, resolve_probabilities
@@ -157,17 +161,9 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# worker plumbing: each process rebuilds the pair and probabilities once
+# one replica harness; every process reads the parent's pair and vector
 
 _WORK: dict = {}
-
-
-def _init_worker(config: ExperimentConfig, color: Optional[int]) -> None:
-    _WORK["pair"] = config.resolve_pair()
-    _WORK["probs"] = config.resolve_probs()
-    _WORK["seed"] = config.seed
-    _WORK["step_cap"] = config.step_cap
-    _WORK["color"] = color
 
 
 def _couple_replica(replica: int) -> tuple:
@@ -182,6 +178,9 @@ def _couple_replica(replica: int) -> tuple:
     return (rec.t_stop, rec.final_distance, 0, counts.n_bad, counts.n_good)
 
 
+_COUPLE_HEADER = ("t_stop", "final_distance", "exceeded_cap", "n_bad_pre", "n_good_pre")
+
+
 def _stage_replica(replica: int) -> tuple:
     pair, probs = _WORK["pair"], _WORK["probs"]
     rng = _replica_rng(_WORK["seed"], replica)
@@ -192,53 +191,45 @@ def _stage_replica(replica: int) -> tuple:
     return (1 if result.outcome == Stage.GOOD_END else 0, result.steps, 0)
 
 
-def _map_replicas(config: ExperimentConfig, fn, color: Optional[int] = None) -> list[tuple]:
+def _map_replicas(config: ExperimentConfig, fn, work: dict) -> list[tuple]:
     workers = config.workers if config.workers > 0 else min(os.cpu_count() or 1, 8)
-    if workers <= 1 or config.replicas < 64:
-        _init_worker(config, color)
+    if workers <= 1 or config.replicas < 64 or not hasattr(os, "fork"):
+        _WORK.update(work)
         return [fn(i) for i in range(config.replicas)]
     import multiprocessing as mp
 
-    ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context("spawn")
-    with ctx.Pool(workers, initializer=_init_worker, initargs=(config, color)) as pool:
+    # fork hands initargs over unpickled, so _WORK.update fills each
+    # worker's own _WORK with the parent's pair and vector
+    with mp.get_context("fork").Pool(workers, initializer=_WORK.update,
+                                     initargs=(work,)) as pool:
         chunk = max(1, config.replicas // (workers * 8))
         return list(pool.imap(fn, range(config.replicas), chunksize=chunk))
 
 
-# ---------------------------------------------------------------------------
+def _replicas(config: ExperimentConfig, pair: NeighboringPair, probs: FlipProbabilities, fn,
+              header: tuple[str, ...], csv_path: Optional[str],
+              color: Optional[int] = None) -> tuple[list[tuple], int]:
+    """Run fn on every replica from (pair, probs): the rows of the
+    replicas that stopped within the cap, and how many did not (a row's
+    third field is exceeded_cap).  Writes every row to csv_path if given."""
+    create_output(csv_path)
+    work = {"pair": pair, "probs": probs, "seed": config.seed,
+            "step_cap": config.step_cap, "color": color}
+    rows = _map_replicas(config, fn, work)
+    if csv_path:
+        import csv
 
-
-def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
-    import csv
-
-    with output_file(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("replica",) + header)
-        for i, row in enumerate(rows):
-            writer.writerow((i,) + row)
+        with output_file(csv_path, newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("replica",) + header)
+            writer.writerows((i,) + row for i, row in enumerate(rows))
+    done = [r for r in rows if r[2] == 0]
+    return done, len(rows) - len(done)
 
 
 def _params(config: ExperimentConfig, pair: NeighboringPair) -> dict:
     return {"n": pair.graph.n, "k": pair.k, "d": pair.graph.degree(pair.v),
             "probs": config.probs, "replicas": config.replicas, "seed": config.seed}
-
-
-def _couple_replicas(
-    config: ExperimentConfig, pair: NeighboringPair, kind: str, csv_path: Optional[str]
-) -> tuple[list[tuple], ExperimentReport]:
-    """Coupled-walk replicas from pair: the rows of the replicas that
-    stopped within the cap, and a report holding the params and the
-    exceeded_cap/completed counts.  Writes every row to csv_path if given."""
-    create_output(csv_path)
-    rows = _map_replicas(config, _couple_replica)
-    if csv_path:
-        _write_csv(csv_path, ("t_stop", "final_distance", "exceeded_cap", "n_bad_pre",
-                              "n_good_pre"), rows)
-    done = [r for r in rows if r[2] == 0]
-    report = ExperimentReport(kind=kind, params=_params(config, pair))
-    report.counts["exceeded_cap"] = len(rows) - len(done)
-    report.counts["completed"] = len(done)
-    return done, report
 
 
 def run_coupling_experiment(
@@ -258,7 +249,9 @@ def run_coupling_experiment(
     n, k, d = pair.graph.n, pair.k, pair.graph.degree(pair.v)
     if k < d + 2:
         raise InputError(f"need k >= d + 2, got k={k}, d={d}")
-    done, report = _couple_replicas(config, pair, "couple", csv_path)
+    done, capped = _replicas(config, pair, probs, _couple_replica, _COUPLE_HEADER, csv_path)
+    report = ExperimentReport(kind="couple", params=_params(config, pair),
+                              counts={"exceeded_cap": capped, "completed": len(done)})
     if done:
         t_stops = [r[0] for r in done]
         finals = [r[1] for r in done]
@@ -295,25 +288,21 @@ def run_stage_experiment(
 ) -> ExperimentReport:
     """Stage-machine replicas from a pair in the Bad configuration at
     the tracked color, against the exact one-step masses and the
-    GoodEnd-probability target (1/gamma)(k + 2 p_2 d)/(nk)."""
-    from .classify import StateLabel
-
+    GoodEnd-probability target (1/gamma)(k + 2 p_2 d)/(nk).  Cap overruns
+    are counted, not fatal; with no replica completed the GoodEnd check
+    fails."""
     pair = config.resolve_pair()
     probs = config.resolve_probs()
     if classify_color(pair, color) is not StateLabel.BAD:
         raise InputError(f"start pair is not in the Bad configuration at color {color}")
     n, k, d = pair.graph.n, pair.k, pair.graph.degree(pair.v)
-    create_output(csv_path)
-    rows = _map_replicas(config, _stage_replica, color=color)
-    if csv_path:
-        _write_csv(csv_path, ("good_end", "steps", "exceeded_cap"), rows)
-    good_end = [r[0] for r in rows]
-    exceeded = sum(r[2] for r in rows)
-
-    report = ExperimentReport(kind="stages", params={**_params(config, pair), "color": color})
-    report.counts["exceeded_cap"] = exceeded
-    report.metrics["p_good_end"] = MetricSummary.from_values(good_end)
-    report.metrics["steps"] = MetricSummary.from_values([r[1] for r in rows])
+    done, capped = _replicas(config, pair, probs, _stage_replica,
+                             ("good_end", "steps", "exceeded_cap"), csv_path, color)
+    report = ExperimentReport(kind="stages", params={**_params(config, pair), "color": color},
+                              counts={"exceeded_cap": capped})
+    if done:
+        report.metrics["p_good_end"] = MetricSummary.from_values([r[0] for r in done])
+        report.metrics["steps"] = MetricSummary.from_values([r[1] for r in done])
 
     masses = stage_step_masses(pair, color, probs)
     report.exact["mass_to_good"] = fraction_str(masses.to_good)
@@ -324,8 +313,8 @@ def run_stage_experiment(
         gamma, _ = gamma_bound(k, d, probs.mass(2))
         target = (Fraction(k) + 2 * probs.mass(2) * d) / (gamma * n * k)
         report.exact["good_end_target"] = fraction_str(target)
-        pg = report.metrics["p_good_end"]
-        report.checks["good_end_probability"] = pg.ci_high >= float(target)
+        report.checks["good_end_probability"] = (
+            bool(done) and report.metrics["p_good_end"].ci_high >= float(target))
     return report
 
 
@@ -338,7 +327,9 @@ def estimate_gamma_empirical(
     pair = config.resolve_pair()
     probs = config.resolve_probs()
     k, d = pair.k, pair.graph.degree(pair.v)
-    done, report = _couple_replicas(config, pair, "gamma", csv_path)
+    done, capped = _replicas(config, pair, probs, _couple_replica, _COUPLE_HEADER, csv_path)
+    report = ExperimentReport(kind="gamma", params=_params(config, pair),
+                              counts={"exceeded_cap": capped, "completed": len(done)})
     if not done:
         report.checks["ratio_below_gamma_bound"] = False
         return report

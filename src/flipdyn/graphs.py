@@ -27,7 +27,7 @@ from .errors import InputError, output_file
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "edges", "max_degree")
+    __slots__ = ("n", "adj", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -50,7 +50,6 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(elist))
         self.adj = tuple(tuple(sorted(a)) for a in nbrs)
-        self.max_degree = max((len(a) for a in self.adj), default=0)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

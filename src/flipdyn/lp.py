@@ -65,6 +65,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from .coupling import _argmax_lowest
 from .dynamics import FlipProbabilities, fraction_str
 from .errors import InputError, InvariantError, output_file
@@ -244,8 +246,6 @@ class HFamily:
         the same order, so a float64 column repeats the per-tuple float
         loop bit for bit and an integer column is exact.
         """
-        import numpy as np
-
         t = self.table
         pA, pB = pv[t.A], pv[t.B]
         h = (t.A.astype(work) - t.a.max(axis=1).astype(work) - 1) * pA
@@ -269,8 +269,6 @@ class HFamily:
         int64 when a bound on every intermediate fits, Python ints in an
         object array otherwise.
         """
-        import numpy as np
-
         t, m, n = self.table, self.m, self.n_max
         pvals = [Fraction(assignment.get(_pvar(i), ZERO)) for i in range(1, n + 1)]
         lams = [Fraction(assignment.get(v, ZERO)) for v in t.lam_names]
@@ -294,8 +292,6 @@ class HFamily:
         pf[alpha] is p_alpha (zero beyond the list); violations are
         bit-identical to the per-tuple float loop and come in tuple order.
         """
-        import numpy as np
-
         t, n = self.table, self.n_max
         pv = np.zeros(n + 2)
         size = min(len(pf), n + 2)
@@ -326,7 +322,6 @@ class TupleTable:
 
     @classmethod
     def build(cls, fam: HFamily) -> "TupleTable":
-        import numpy as np
         from array import array
 
         m = fam.m
@@ -414,13 +409,7 @@ def _monotone(n_max: int) -> list[LinearConstraint]:
     ]
 
 
-def _structural(
-    n_max: int,
-    m_star: int,
-    lam_own: str,
-    lam_close: str,
-    cap3: bool,
-) -> list[LinearConstraint]:
+def _structural(n_max: int, m_star: int, lam: str, cap3: bool) -> list[LinearConstraint]:
     cons = _monotone(n_max)
     cons += [_row(f"cap/{alpha}", [(alpha, alpha)], "<=", 1, n_max)
              for alpha in range(1, n_max + 1)]
@@ -432,7 +421,7 @@ def _structural(
             if bvec[-1] == 0:
                 continue
             big = sum(bvec)
-            terms = [(big, big - bvec[-1]), *((bi, bi) for bi in bvec), (lam_own, -m)]
+            terms = [(big, big - bvec[-1]), *((bi, bi) for bi in bvec), (lam, -m)]
             cons.append(_row(f"own/m={m}/b={','.join(map(str, bvec))}", terms, "<=", -1, n_max))
     cons += [_row(f"sur/x/A={A}", [("x", -1), (A, A - 2)], "<=", 0, n_max)
              for A in range(0, n_max + 2)]
@@ -440,7 +429,7 @@ def _structural(
         for b in range(a + 1, n_max + 1):
             cons += _min_rows(f"sur/y/a={a}/b={b}", [("y", -1), (a, a), (b, b)],
                               [([(a, 1)], [(b, 1)])], 0, n_max)
-    cons.append(_row("sur/close", [("x", 2), ("y", m_star), (lam_close, -m_star)],
+    cons.append(_row("sur/close", [("x", 2), ("y", m_star), (lam, -m_star)],
                      "<=", -1, n_max))
     return cons
 
@@ -450,7 +439,7 @@ def build_vigoda_lp(n_max: int = 7, m_star: int = 3) -> LPInstance:
     if n_max < 2 or m_star < 2:
         raise InputError("need n_max >= 2 and m_star >= 2")
     variables = tuple(_pvar(i) for i in range(1, n_max + 1)) + ("lam", "x", "y")
-    cons = _structural(n_max, m_star, lam_own="lam", lam_close="lam", cap3=False)
+    cons = _structural(n_max, m_star, lam="lam", cap3=False)
     fams = tuple(
         HFamily(m, n_max, lam_var_for=lambda a, b, A, B: "lam")
         for m in range(1, m_star)
@@ -520,7 +509,7 @@ def build_mixed_lp(
         "x",
         "y",
     )
-    cons = _structural(n_max, m_star, lam_own="lam_good", lam_close="lam_good", cap3=cap3)
+    cons = _structural(n_max, m_star, lam="lam_good", cap3=cap3)
     cons += [
         _row("mix/sing", [("lam_sing", 1), ("lam", -1)], "<=", 0, n_max),
         _row("mix/good", [("lam_good", 1), ("lam", -1)], "<=", 0, n_max),
@@ -587,8 +576,6 @@ def solve(lp: LPInstance) -> LPSolution:
     that are exactly violated, largest float violation first, or the
     first exact violations when the floats confirm none.
     """
-    import numpy as np
-
     active: list[LinearConstraint] = list(lp.constraints)
     added_labels: set[str] = set()
     objective = {lp.objective_var: Fraction(1)}
@@ -716,7 +703,6 @@ def solve_float(lp: LPInstance):
     Returns (status, objective) where objective is a float.  Intended for
     tests; the exact path never depends on it.
     """
-    import numpy as np
     from scipy.optimize import linprog
 
     var_index = {v: i for i, v in enumerate(lp.variables)}

@@ -13,11 +13,13 @@ from flipdyn import (
     build_construction,
     classify_color,
     gamma_bound,
+    greedy_coupling_distribution,
     mixed_vector,
     stage_step_masses,
     stage_walk,
     state_counts,
 )
+from flipdyn.classify import stage_update
 
 F = Fraction
 
@@ -102,6 +104,19 @@ class TestStageStepMasses:
         assert masses.to_good == F(8, 21)
         assert masses.terminating == F(1, 6)
         assert masses.to_good >= F(4 * (6 - 2 - 1), 7 * 6)
+
+
+class TestStageUpdate:
+    def test_ends(self):
+        # BadEnd absorbs every step; no step may follow GoodEnd.
+        pair = tree_pair(2, 6)
+        dist = greedy_coupling_distribution(pair, mixed_vector())
+        term = next(m for m in dist.moves if m.terminating)
+        ident = next(m for m in dist.moves if not m.terminating)
+        for move in (None, term, ident):
+            assert stage_update(Stage.BAD_END, pair, move, 2) is Stage.BAD_END
+            with pytest.raises(InputError):
+                stage_update(Stage.GOOD_END, pair, move, 2)
 
 
 class TestStageWalk:

@@ -72,6 +72,30 @@ class TestLpCommands:
         assert code == 1
         assert "violated" in out
 
+    def test_solve_cross_check(self, capsys, monkeypatch):
+        import flipdyn.lp as lp_mod
+
+        argv = ["lp", "solve", "--kind", "tight", "--cross-check"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "float cross-check: optimal" in out
+        monkeypatch.setattr(lp_mod, "solve_float", lambda inst: ("optimal", 11 / 6 + 1e-6))
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "cross-check FAILED" in err
+
+    def test_slack_json(self, capsys):
+        argv = ["lp", "slack", "--kind", "vigoda", "--nmax", "6", "--vector", "alt", "--json"]
+        code, out, _ = run(argv + ["--lam", "11/6"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["feasible"] is True and data["violated"] == []
+        assert "base/p1" in data["tight"]
+        code, out, _ = run(argv + ["--lam", "9/5"], capsys)
+        assert code == 1
+        data = json.loads(out)
+        assert data["feasible"] is False and data["violated"]
+
     def test_gamma_parses_decimal_string_exactly(self, capsys):
         # Fraction("25.597784") must parse to 25597784/10^6; a bad string
         # is an input error -> exit 2.
@@ -94,6 +118,22 @@ class TestConstructAndChecks:
         code, out, _ = run(["check", "marginals", "--pair", path], capsys)
         assert code == 0
         assert "ok" in out
+
+    def test_checks_json(self, tmp_path, capsys):
+        path = str(tmp_path / "pair.txt")
+        run(["construct", "--index", "2", "--d", "2", "--k", "4", "--out", path], capsys)
+        code, out, _ = run(["check", "marginals", "--pair", path, "--json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"ok": True, "failures": []}
+        code, text, _ = run(["check", "stationary", "--pair", path], capsys)
+        code_json, out, _ = run(["check", "stationary", "--pair", path, "--json"], capsys)
+        assert code == code_json == 0
+        data = json.loads(out)
+        assert data["ok"] is True and data["failures"] == []
+        assert text.splitlines()[0] == (
+            f"states: {data['n_states']}, proper: {data['proper_states']}, "
+            f"reachable from first proper: {data['reachable_proper']}"
+        )
 
     def test_pair_file_without_tau_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sigma-only.txt"
@@ -189,6 +229,49 @@ class TestSimCommands:
         data = json.loads(out)
         assert data["ok"] is False
         assert data["counts"]["completed"] == 0
+
+    @pytest.mark.parametrize("command", [["couple"], ["stages", "--color", "2"], ["gamma"]])
+    def test_capped_replicas_leave_the_metrics(self, command, tmp_path, capsys):
+        # The CSV holds every replica; each metric counts only the ones
+        # that stopped within the cap.
+        csv = tmp_path / "rows.csv"
+        _, out, _ = run(
+            [
+                "sim", *command, "--construction", "1", "--d", "2", "--k", "6",
+                "--replicas", "60", "--seed", "8", "--step-cap", "3", "--workers", "1",
+                "--json", "--csv", str(csv),
+            ],
+            capsys,
+        )
+        data = json.loads(out)
+        capped = data["counts"]["exceeded_cap"]
+        assert 0 < capped < 60
+        assert data["metrics"]
+        assert {m["n"] for m in data["metrics"].values()} == {60 - capped}
+        rows = [line.split(",") for line in csv.read_text().splitlines()]
+        assert rows[0][3] == "exceeded_cap" and len(rows) == 61
+        assert sum(int(row[3]) for row in rows[1:]) == capped
+
+    def test_stages_with_no_completed_replica_fails(self, capsys, monkeypatch):
+        import flipdyn.experiments as experiments
+        from flipdyn import CapacityError
+
+        def capped(*args, **kwargs):
+            raise CapacityError("stage walk exceeded its cap")
+
+        monkeypatch.setattr(experiments, "stage_walk", capped)
+        code, out, _ = run(
+            [
+                "sim", "stages", "--construction", "1", "--d", "2", "--k", "6",
+                "--color", "2", "--replicas", "10", "--workers", "1", "--json",
+            ],
+            capsys,
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["metrics"] == {}
+        assert data["counts"]["exceeded_cap"] == 10
+        assert data["checks"]["good_end_probability"] is False
 
     def test_construction_needs_d_and_k(self, capsys):
         code, _, err = run(

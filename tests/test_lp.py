@@ -28,6 +28,8 @@ from flipdyn import (
 )
 from flipdyn.dynamics import MIXED_VECTOR_VALUES
 from flipdyn.lp import (
+    LinearConstraint,
+    LPInstance,
     extend_assignment,
     g_surrogate,
     write_lp_file,
@@ -189,6 +191,19 @@ class TestOneStepProgram:
             lab.startswith("H/") or lab.startswith("sur/") for lab in report.tight
         )
 
+    def test_slack_report_flags_equality_and_bound_rows(self):
+        # base/p1 (p_1 = 1) fails on either side of 1; cap/1 (p_1 <= 1)
+        # only above it.
+        inst = build_vigoda_lp(6, 3)
+        for p1, cap_violated in ((F(2), True), (F(1, 2), False)):
+            assignment = extend_assignment(inst, vigoda_vector(), F(11, 6))
+            assignment["p1"] = p1
+            report = slack_report(inst, assignment)
+            assert not report.feasible
+            assert "base/p1" in report.violated and "base/p1" not in report.tight
+            assert report.slacks["base/p1"] == 1 - p1 == report.slacks["cap/1"]
+            assert ("cap/1" in report.violated) == cap_violated
+
     def test_exact_optimum_n6(self):
         sol = solve(build_vigoda_lp(6, 3))
         assert sol.status == "optimal"
@@ -220,6 +235,18 @@ class TestOneStepProgram:
         ]
         assert stats[0].candidates >= stats[0].confirmed > 0
         assert stats[-1].confirmed == 0
+
+    def test_infeasible_program_stops_in_its_first_round(self):
+        # Every variable is >= 0, so x <= -1 has no solution.
+        neg = LinearConstraint("neg", (("x", F(1)),), "<=", F(-1))
+        inst = LPInstance(name="infeasible", variables=("lam", "x"), constraints=(neg,),
+                          families=(), objective_var="lam")
+        sol = solve(inst)
+        assert (sol.status, sol.objective_value, sol.assignment) == ("infeasible", None, {})
+        assert sol.rounds == 1 and sol.active_constraints == 1
+        assert [(r.active_rows, r.candidates, r.confirmed) for r in sol.round_stats] == [
+            (1, 0, 0)
+        ]
 
     def test_m_star_four_stays_11_6(self):
         # Adding all size-3 blocks does not move the optimum: the
