@@ -171,13 +171,15 @@ def stage_step_masses(
     the unchanged pair's state of c, never toward terminating.
     """
     dist = greedy_coupling_distribution(pair, probs)
-    mass = dict.fromkeys((Stage.GOOD_STAGE, Stage.GOOD_END, Stage.BAD_END), Fraction(0))
-    mass[stage_update(Stage.GOOD_STAGE, pair, None, c)] += dist.noop_mass
+    num = dict.fromkeys((Stage.GOOD_STAGE, Stage.GOOD_END, Stage.BAD_END), 0)
+    num[stage_update(Stage.GOOD_STAGE, pair, None, c)] += dist.noop_num
     for m in dist.moves:
         new_pair = None if m.terminating else NeighboringPair(pair.graph, *m.apply(pair))
-        mass[stage_update(Stage.GOOD_STAGE, new_pair, m, c)] += m.mass
-    return StageStepMasses(to_good=mass[Stage.GOOD_STAGE], terminating=mass[Stage.GOOD_END],
-                           leave_good=mass[Stage.BAD_END])
+        num[stage_update(Stage.GOOD_STAGE, new_pair, m, c)] += m.num
+    den = dist.den
+    return StageStepMasses(to_good=Fraction(num[Stage.GOOD_STAGE], den),
+                           terminating=Fraction(num[Stage.GOOD_END], den),
+                           leave_good=Fraction(num[Stage.BAD_END], den))
 
 
 def gamma_bound(k: int, d: int, p2: Fraction) -> tuple[Fraction, Fraction]:

@@ -39,15 +39,21 @@ distance; terminating moves may (including to 0 or above 1), but a
 terminating move can also relocate the disagreement to another vertex at
 distance 1.
 
-Masses are exact throughout.  A block gives each move's mass as an
-integer num over L * n * k, with L = probs.scale the lcm of the vector's
-denominators, so its minima and residuals are integer operations;
-_coupled makes the CoupledMove, of mass Fraction(num, L * n * k).  A block
-also knows what it reads: its colors (s, t and c for a generic block, s
-and t for the disagreement block) and N[visited()], the vertices its
-searches reached and their neighbors.  Its moves change only when a flip
-recolors one of those vertices between colors it tells apart, which is
-what lets CoupledWalk keep blocks from one step to the next.
+Masses are exact throughout, and integers until they are read.  Every
+move carries its mass as an integer num over den = L * n * k, with
+L = probs.scale the lcm of the vector's denominators, so a block's
+minima and residuals, the marginals and the totals are integer sums;
+CoupledMove.mass and the CouplingDistribution sums make one Fraction per
+value they return.  greedy_coupling_distribution keeps the sigma side's
+flip list for the last (graph, sigma) it saw (_FLIPS), since consecutive
+pairs of a sweep share sigma.
+
+A block also knows what it reads: its colors (s, t and c for a generic
+block, s and t for the disagreement block) and N[visited()], the
+vertices its searches reached and their neighbors.  Its moves change
+only when a flip recolors one of those vertices between colors it tells
+apart, which is what lets CoupledWalk keep blocks from one step to the
+next.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dynamics import FlipProbabilities
+from .dynamics import FlipProbabilities, fraction_of
 from .errors import CapacityError, InputError, InvariantError
 from .graphs import (
     Coloring,
@@ -83,14 +89,20 @@ def _mk_flip(vertices: frozenset[int], c1: int, c2: int) -> Flip:
     return (vertices, min(c1, c2), max(c1, c2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoupledMove:
-    """One joint move: a flip (or nothing) on each side, with its mass."""
+    """One joint move: a flip (or nothing) on each side, with its mass
+    num / den."""
 
     sigma_flip: Optional[Flip]
     tau_flip: Optional[Flip]
-    mass: Fraction
+    num: int
+    den: int
     terminating: bool
+
+    @property
+    def mass(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     def apply(self, pair: NeighboringPair) -> tuple[Coloring, Coloring]:
         sig, tau = pair.sigma, pair.tau
@@ -417,36 +429,41 @@ def signature(pair: NeighboringPair, c: int) -> Signature:
 
 @dataclass(frozen=True)
 class CouplingDistribution:
-    """Full one-step coupled move list with exact masses."""
+    """Full one-step coupled move list; every move's mass is num / den.
+    Sums run over the integer numerators, and each returned value is one
+    Fraction."""
 
     moves: tuple[CoupledMove, ...]
-    noop_mass: Fraction
+    den: int
+
+    @property
+    def noop_num(self) -> int:
+        return self.den - sum(m.num for m in self.moves)
+
+    @property
+    def noop_mass(self) -> Fraction:
+        return Fraction(self.noop_num, self.den)
 
     def total_mass(self) -> Fraction:
-        return self.noop_mass + sum((m.mass for m in self.moves), Fraction(0))
+        return Fraction(self.noop_num + sum(m.num for m in self.moves), self.den)
+
+    def _marginal(self, flips) -> dict[Flip, Fraction]:
+        """Sum (flip, num) pairs per flip; None is no flip on that side."""
+        nums: dict[Flip, int] = {}
+        for f, num in flips:
+            if f is not None:
+                nums[f] = nums.get(f, 0) + num
+        den = self.den
+        return {f: fraction_of(num, den) for f, num in nums.items()}
 
     def sigma_marginal(self) -> dict[Flip, Fraction]:
-        out: dict[Flip, Fraction] = {}
-        for m in self.moves:
-            if m.sigma_flip is not None:
-                out[m.sigma_flip] = out.get(m.sigma_flip, Fraction(0)) + m.mass
-        return out
+        return self._marginal((m.sigma_flip, m.num) for m in self.moves)
 
     def tau_marginal(self) -> dict[Flip, Fraction]:
-        out: dict[Flip, Fraction] = {}
-        for m in self.moves:
-            if m.tau_flip is not None:
-                out[m.tau_flip] = out.get(m.tau_flip, Fraction(0)) + m.mass
-        return out
+        return self._marginal((m.tau_flip, m.num) for m in self.moves)
 
     def terminating_mass(self) -> Fraction:
-        return sum((m.mass for m in self.moves if m.terminating), Fraction(0))
-
-
-def _coupled(move: RawMove, den: int) -> CoupledMove:
-    """A block's move with its exact mass num / den, den = scale * n * k."""
-    sf, tf, num = move
-    return CoupledMove(sf, tf, Fraction(num, den), True)
+        return Fraction(sum(m.num for m in self.moves if m.terminating), self.den)
 
 
 def _difference_raw(
@@ -469,7 +486,18 @@ def _difference_moves(
     sigma-side flip identities in D."""
     den = probs.scale * pair.graph.n * pair.k
     moves, sigma_labels = _difference_raw(pair, probs)
-    return [_coupled(m, den) for m in moves], sigma_labels
+    return [CoupledMove(sf, tf, num, den, True) for sf, tf, num in moves], sigma_labels
+
+
+# The sigma side's flips for the last (graph, sigma) that
+# greedy_coupling_distribution saw: [key, flips], the flips a tuple so no
+# caller can change them.  Consecutive pairs of a sweep share sigma.
+_FLIPS: list = [None, ()]
+
+
+def _flips_key(pair: NeighboringPair) -> tuple:
+    """What the sigma side's flip list depends on, compared by value."""
+    return (pair.graph, pair.sigma)
 
 
 def greedy_coupling_distribution(
@@ -484,18 +512,21 @@ def greedy_coupling_distribution(
     den = probs.scale * pair.graph.n * pair.k
     raw, sigma_labels = _difference_raw(pair, probs)
     used = sum(num for _, _, num in raw)
-    moves = [_coupled(m, den) for m in raw]
-    for f in enumerate_flips(pair.graph, pair.sigma):
+    moves = [CoupledMove(sf, tf, num, den, True) for sf, tf, num in raw]
+    key = _flips_key(pair)
+    if _FLIPS[0] != key:
+        _FLIPS[:] = [key, tuple(enumerate_flips(pair.graph, pair.sigma))]
+    for f in _FLIPS[1]:
         if f in sigma_labels:
             continue
         num = probs.mass_scaled(len(f[0]))
         if num:
             used += num
-            moves.append(CoupledMove(f, f, Fraction(num, den), False))
+            moves.append(CoupledMove(f, f, num, den, False))
     # the total mass used / den, checked exactly in integers
     if used > den:
         raise InvariantError("coupled move masses exceed 1")
-    return CouplingDistribution(moves=tuple(moves), noop_mass=Fraction(den - used, den))
+    return CouplingDistribution(moves=tuple(moves), den=den)
 
 
 def _touches_d(pair: NeighboringPair, f: Flip, toward: int, cols: tuple[int, ...]) -> bool:
@@ -534,11 +565,12 @@ def terminating_mass(pair: NeighboringPair, probs: FlipProbabilities) -> Fractio
 
 def expected_distance_change(pair: NeighboringPair, probs: FlipProbabilities) -> Fraction:
     """Exact E[hamming after one coupled step] - 1."""
-    total = Fraction(0)
-    for m in greedy_coupling_distribution(pair, probs).moves:
+    dist = greedy_coupling_distribution(pair, probs)
+    total = 0
+    for m in dist.moves:
         sig, tau = m.apply(pair)
-        total += m.mass * (hamming(sig, tau) - 1)
-    return total
+        total += m.num * (hamming(sig, tau) - 1)
+    return Fraction(total, dist.den)
 
 
 @dataclass(frozen=True)
@@ -619,8 +651,8 @@ class CoupledWalk:
     s and t may change.  A rebuild builds the dropped blocks alone, then
     concatenates every block's moves in _blocks order.  Masses are
     integers over L * n * k (L = probs.scale), so the table's floats are
-    num / (L * n * k), bit-identical to float(mass); the exact Fraction
-    is made only for the move a step returns.  blocks_built and
+    num / (L * n * k), bit-identical to float(mass), and the move a step
+    returns carries num over L * n * k.  blocks_built and
     blocks_reused count the blocks each rebuild built and kept.
 
     CoupledWalk(pair, probs, rng) is lazy: it builds every block at its
@@ -747,7 +779,7 @@ class CoupledWalk:
                 tau = flip(self.pair.tau, comp, lo, hi)
                 self.pair = self.pair._flipped_off_v(sig, tau)
                 self._drop(comp, lo, hi)
-                return CoupledMove(drawn, drawn, Fraction(0), False)
+                return CoupledMove(drawn, drawn, 0, self._den, False)
             return None
 
         if self._dirty:
@@ -755,7 +787,8 @@ class CoupledWalk:
         i = bisect.bisect_right(self._move_cum, u * self._q)
         if i >= len(self._moves):
             return None
-        move = _coupled(self._moves[i], self._den)
+        sf, tf, num = self._moves[i]
+        move = CoupledMove(sf, tf, num, self._den, True)
         sig, tau = move.apply(self.pair)
         self._cache = None
         self._dirty = True

@@ -4,7 +4,10 @@ One step of the dynamics: draw a vertex v and color c uniformly (n*k
 draws), form the alternating component S = S(col, v, c) of size alpha,
 and flip it with probability p_alpha / alpha.  Because a component of
 size alpha is selected by exactly alpha draws, each distinct flip is
-applied with total probability p_alpha / (n*k).
+applied with total probability p_alpha / (n*k).  flip_step_distribution
+sums these exactly as integers p_alpha * L over L * n * k (L =
+FlipProbabilities.scale) and makes one Fraction per flip and one for
+the no-op mass.
 
 A flip probability vector fixes p_1 = 1, is nonincreasing, nonnegative,
 satisfies alpha * p_alpha <= 1, and vanishes above a finite support bound
@@ -13,6 +16,7 @@ n_max (p_0 = 0 by convention).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -24,6 +28,12 @@ from .errors import CapacityError, InputError, InvariantError, output_file
 from .graphs import Coloring, Graph, alternating_component, enumerate_flips, flip, is_proper
 
 RationalLike = Union[int, str, Fraction]
+
+# Fraction(num, den) for the integer masses of a law.  A law's values
+# repeat across flips and pairs, so most calls hit, and two laws with an
+# equal mass hold the same object, which dict equality compares by
+# identity first.
+fraction_of = functools.lru_cache(maxsize=4096)(Fraction)
 
 
 def _to_fraction(x: RationalLike) -> Fraction:
@@ -214,18 +224,18 @@ def flip_step_distribution(
     the None key carries the remaining no-op mass.  Zero-mass flips are
     omitted.
     """
-    nk = g.n * col.k
+    den = probs.scale * g.n * col.k
     out: dict[Optional[tuple[frozenset[int], int, int]], Fraction] = {}
-    total = Fraction(0)
+    used = 0
     for key in enumerate_flips(g, col):
-        p = probs.mass(len(key[0]))
-        if p != 0:
-            mass = Fraction(p, nk)
-            out[key] = mass
-            total += mass
-    if total > 1:
+        num = probs.mass_scaled(len(key[0]))
+        if num:
+            out[key] = fraction_of(num, den)
+            used += num
+    # the total mass used / den, checked exactly in integers
+    if used > den:
         raise InvariantError("flip masses exceed 1")
-    out[None] = 1 - total
+    out[None] = Fraction(den - used, den)
     return out
 
 

@@ -43,6 +43,7 @@ from flipdyn.coupling import (
 )
 from flipdyn.graphs import hamming
 
+import reference_masses
 from conftest import neighboring_pairs
 
 F = Fraction
@@ -282,13 +283,13 @@ VECTORS = {"vigoda": vigoda_vector(), "alt": alt_vector(), "mixed": mixed_vector
 
 
 @st.composite
-def bounded_degree_pairs(draw, proper: bool):
-    """A neighboring pair on a random graph with n <= 10, max degree <= 4
-    and k <= 8; proper pairs get k >= max degree + 2 so v has a free
-    color."""
-    n = draw(st.integers(1, 10))
-    max_deg = draw(st.integers(1, 4))
-    k = draw(st.integers(max_deg + 2 if proper else 2, 8))
+def bounded_degree_pairs(draw, proper: bool, n_max: int = 10, k_max: int = 8):
+    """A neighboring pair on a random graph with n <= n_max, max degree
+    <= 4 and k <= k_max; proper pairs get k >= max degree + 2 so v has a
+    free color."""
+    n = draw(st.integers(1, n_max))
+    max_deg = draw(st.integers(1, min(4, k_max - 2)))
+    k = draw(st.integers(max_deg + 2 if proper else 2, k_max))
     candidates = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(candidates), unique=True,
                            min_size=min(len(candidates), 2 * n))) if candidates else []
@@ -380,6 +381,69 @@ class TestBlockProperties:
                        (f"sigma:u{y}", None)]
         assert d[s] == want_s
         assert d[t] == want_t
+
+
+class TestIntegerMasses:
+    """Every mass is an integer num over L * n * k until it is read, and
+    the integer sums give exactly the Fraction sums of the reference."""
+
+    @PROPERTY_SETTINGS
+    @given(proper=st.booleans(), data=st.data(), vec=st.sampled_from(sorted(VECTORS)))
+    def test_sums_match_the_fraction_reference(self, proper, data, vec):
+        pair = data.draw(bounded_degree_pairs(proper=proper, n_max=8, k_max=5))
+        probs = VECTORS[vec]
+        den = probs.scale * pair.graph.n * pair.k
+        dist = greedy_coupling_distribution(pair, probs)
+        assert dist.den == den
+        for m in dist.moves:
+            assert m.den == den and m.mass == F(m.num, m.den)
+        ref = reference_masses.coupled_sums(dist, pair)
+        assert dist.sigma_marginal() == ref["sigma_marginal"]
+        assert dist.tau_marginal() == ref["tau_marginal"]
+        assert type(dist.noop_mass) is F
+        for name in ("total_mass", "terminating_mass"):
+            assert getattr(dist, name)() == ref[name]
+        assert dist.noop_mass == ref["noop_mass"]
+        assert expected_distance_change(pair, probs) == ref["expected_distance_change"]
+        for side in (pair.sigma, pair.tau):
+            law = flip_step_distribution(pair.graph, side, probs)
+            assert law == reference_masses.flip_step_law(pair.graph, side, probs)
+            for key, mass in law.items():
+                if key is not None:
+                    assert mass == probs.mass(len(key[0])) / (pair.graph.n * pair.k)
+
+
+def flip_cache_mismatches(probs):
+    """Run greedy_coupling_distribution on pairs whose sigma colors are
+    equal but whose graph or k differ, one after another, and count those
+    whose sigma marginal is not the single-chain law."""
+    sigma = (0, 1, 0)
+    pairs = [NeighboringPair(g, Coloring(sigma, k), Coloring(sigma, k).recolor({1: 2}))
+             for g, k in ((Graph(3, [(0, 1), (1, 2)]), 3), (Graph(3, [(0, 1)]), 3),
+                          (Graph(3, [(0, 1), (1, 2)]), 4))]
+    bad = 0
+    for pair in pairs:
+        try:
+            dist = greedy_coupling_distribution(pair, probs)
+        except InvariantError:
+            bad += 1
+            continue
+        bad += flips_only(dist.sigma_marginal()) != flips_only(
+            flip_step_distribution(pair.graph, pair.sigma, probs))
+    return bad
+
+
+class TestSigmaFlipCache:
+    """The one-entry sigma flip list is keyed by value on (graph, sigma)."""
+
+    def test_equal_colors_on_other_graphs_get_their_own_flips(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_FLIPS", [None, ()])
+        assert flip_cache_mismatches(vigoda_vector()) == 0
+
+    def test_a_key_on_colors_alone_is_caught(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_flips_key", lambda pair: pair.sigma.colors)
+        monkeypatch.setattr(coupling, "_FLIPS", [None, ()])
+        assert flip_cache_mismatches(vigoda_vector()) > 0
 
 
 def assert_pair_is_fresh(pair):

@@ -1,5 +1,7 @@
 """Graph, coloring, and alternating-component primitives."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,31 @@ class TestEnumerateFlips:
         for (comp, lo, hi), mult in flips.items():
             assert mult == len(comp)
             assert lo < hi
+
+    @settings(max_examples=300)
+    @given(data=st.data(), proper=st.booleans())
+    def test_every_vertex_of_a_component_selects_it(self, data, proper):
+        # The oracle for enumerate_flips's multiplicities, on proper and
+        # improper colorings: each w in a flip's component, drawn with its
+        # other color, selects that same component, so the multiplicity is
+        # |comp| and the flips account for all n(k-1) off-color draws.
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(2, 5))
+        col = Coloring(tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                                max_size=n))), k)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        if proper:
+            edges = [(u, w) for u, w in edges if col[u] != col[w]]
+        g = Graph(n, edges)
+        assert is_proper(g, col) or not proper
+        flips = enumerate_flips(g, col)
+        assert sum(flips.values()) == n * (k - 1)
+        for (comp, lo, hi), mult in flips.items():
+            assert mult == len(comp)
+            for w in comp:
+                other = hi if col[w] == lo else lo
+                assert alternating_component(g, col, w, other) == comp
 
 
 class TestNeighboringPair:
