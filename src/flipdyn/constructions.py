@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .dynamics import FlipProbabilities
 from .errors import InputError
-from .graphs import Coloring, Graph, NeighboringPair, is_proper
+from .graphs import Coloring, Graph, NeighboringPair
 from .lp import h_value
 
 
@@ -83,8 +83,6 @@ def build_construction(spec: ConstructionSpec) -> NeighboringPair:
     g = Graph(spec.n, edges)
     sigma = Coloring(tuple(colors), k)
     tau = sigma.recolor({0: 1})
-    if not (is_proper(g, sigma) and is_proper(g, tau)):
-        raise InputError("construction produced an improper coloring")
     return NeighboringPair(g, sigma, tau)
 
 

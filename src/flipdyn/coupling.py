@@ -197,10 +197,6 @@ class _GenericBlock:
         self.sv_tau = alternating_component(g, tau, v, c)
         self.a_sets = _dedup([alternating_component(g, tau, u, pair.s) for u in self.u])
         self.b_sets = _dedup([alternating_component(g, sig, u, pair.t) for u in self.u])
-        if len(self.sv_sigma) != 1 + sum(len(x) for x in self.a_sets):
-            raise InvariantError(f"block {c}: sigma component does not decompose")
-        if len(self.sv_tau) != 1 + sum(len(x) for x in self.b_sets):
-            raise InvariantError(f"block {c}: tau component does not decompose")
         self.i_max = _argmax_lowest([len(x) for x in self.a_sets])
         self.j_max = _argmax_lowest([len(x) for x in self.b_sets])
 
@@ -222,10 +218,6 @@ class _GenericBlock:
         for i in range(len(self.u)):
             q = mass(len(self.a_sets[i])) - (pA if i == self.i_max else 0)
             qp = mass(len(self.b_sets[i])) - (pB if i == self.j_max else 0)
-            if q < 0 or qp < 0:
-                raise InvariantError(
-                    f"negative residual mass in block {c}: flip vector not monotone"
-                )
             both = min(q, qp)
             a_flip = _mk_flip(self.a_sets[i], c, s)
             b_flip = _mk_flip(self.b_sets[i], c, t)
@@ -334,8 +326,6 @@ class _DisagreementBlock:
             _emit(out, lam, _mk_flip(self.pure_y[j_hat], s, t), p_lam)
             for j, comp in enumerate(self.pure_y):
                 residual = mass(len(comp)) - (p_lam if j == j_hat else 0)
-                if residual < 0:
-                    raise InvariantError("negative residual in disagreement block")
                 _emit(out, None, _mk_flip(comp, s, t), residual)
         else:
             _emit(out, lam, None, p_lam)
@@ -344,8 +334,6 @@ class _DisagreementBlock:
             _emit(out, _mk_flip(self.pure_x[i_hat], s, t), m, p_m)
             for i, comp in enumerate(self.pure_x):
                 residual = mass(len(comp)) - (p_m if i == i_hat else 0)
-                if residual < 0:
-                    raise InvariantError("negative residual in disagreement block")
                 _emit(out, _mk_flip(comp, s, t), None, residual)
         else:
             _emit(out, None, m, p_m)
@@ -445,6 +433,7 @@ class CouplingDistribution:
         return Fraction(self.noop_num, self.den)
 
     def total_mass(self) -> Fraction:
+        """1 by construction: noop_num is den minus the moves' sum."""
         return Fraction(self.noop_num + sum(m.num for m in self.moves), self.den)
 
     def _marginal(self, flips) -> dict[Flip, Fraction]:
@@ -492,6 +481,8 @@ def _difference_moves(
 # The sigma side's flips for the last (graph, sigma) that
 # greedy_coupling_distribution saw: [key, flips], the flips a tuple so no
 # caller can change them.  Consecutive pairs of a sweep share sigma.
+# Not lru_cache(maxsize=1): it hashes graph and sigma on every call (0.7 us
+# at n=19), where this compare goes by identity first (0.07 us).
 _FLIPS: list = [None, ()]
 
 
@@ -623,6 +614,10 @@ class _CachedBlock:
 # The last start table CoupledWalk.from_start built: [key, walk], the
 # walk holding the table.  Every replica of an experiment starts from the
 # same pair, so one entry serves them all.
+# Not lru_cache(maxsize=1): it hashes the graph, both colorings and the
+# vector's Fractions on every hit (about 12 us), where this compare goes by
+# identity first (about 0.08 us), on a replica of about 200 us
+# (construction 1, d=6, k=11).
 _START: list = [None, None]
 
 
@@ -681,8 +676,6 @@ class CoupledWalk:
         # None: every block dropped; otherwise one entry per _block_keys
         # color, None where that block was dropped
         self._cache: Optional[list[Optional[_CachedBlock]]] = None
-        self._keys: list[int] = []
-        self._dirty = True
         self._moves: list[RawMove] = []
         self._move_cum: list[float] = []
         self._q = 0.0
@@ -702,10 +695,8 @@ class CoupledWalk:
             _START[:] = [key, table]
         table = _START[1]
         walk = cls(pair, probs, rng)
-        walk._keys = table._keys
         walk._cache = list(table._cache)
         walk._moves, walk._move_cum, walk._q = table._moves, table._move_cum, table._q
-        walk._dirty = False
         return walk
 
     def _refill(self):
@@ -722,12 +713,13 @@ class CoupledWalk:
         for i, entry in enumerate(cache):
             if entry is not None and entry.stale_after(comp, lo, hi):
                 cache[i] = None
-                self._dirty = True
 
     def _rebuild(self):
+        # v, s and t change only with a move of D, which drops every block,
+        # so the pair's keys are the keys the kept blocks were built for
+        keys = _block_keys(self.pair)
         if self._cache is None:
-            self._keys = _block_keys(self.pair)
-            self._cache = [None] * len(self._keys)
+            self._cache = [None] * len(keys)
         cache = self._cache
         moves: list[RawMove] = []
         floats: list[float] = []
@@ -736,7 +728,7 @@ class CoupledWalk:
         for i, entry in enumerate(cache):
             if entry is None:
                 entry = cache[i] = _CachedBlock(
-                    _block(self.pair, self._keys[i]), self.g, self.probs, self._den)
+                    _block(self.pair, keys[i]), self.g, self.probs, self._den)
                 self.blocks_built += 1
             else:
                 self.blocks_reused += 1
@@ -750,7 +742,6 @@ class CoupledWalk:
         self._moves = moves
         self._q = q_draws / self.nk
         self._move_cum = list(itertools.accumulate(floats))
-        self._dirty = False
 
     def step(self) -> Optional[CoupledMove]:
         """Advance one step; returns the applied move, or None for a no-op."""
@@ -782,7 +773,7 @@ class CoupledWalk:
                 return CoupledMove(drawn, drawn, 0, self._den, False)
             return None
 
-        if self._dirty:
+        if self._cache is None or None in self._cache:
             self._rebuild()
         i = bisect.bisect_right(self._move_cum, u * self._q)
         if i >= len(self._moves):
@@ -791,7 +782,6 @@ class CoupledWalk:
         move = CoupledMove(sf, tf, num, self._den, True)
         sig, tau = move.apply(self.pair)
         self._cache = None
-        self._dirty = True
         d = hamming(sig, tau)
         if d == 1:
             self.pair = NeighboringPair(self.g, sig, tau)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import CapacityError, InputError, InvariantError, output_file
+from .errors import CapacityError, InputError, output_file
 from .graphs import Coloring, Graph, alternating_component, enumerate_flips, flip, is_proper
 
 RationalLike = Union[int, str, Fraction]
@@ -222,7 +222,8 @@ def flip_step_distribution(
 
     Each distinct flip with nonzero probability maps to p_alpha/(n*k);
     the None key carries the remaining no-op mass.  Zero-mass flips are
-    omitted.
+    omitted.  The no-op mass is at least 1/k: the flip sizes sum to n(k-1)
+    and p_alpha <= 1 <= alpha.
     """
     den = probs.scale * g.n * col.k
     out: dict[Optional[tuple[frozenset[int], int, int]], Fraction] = {}
@@ -232,9 +233,6 @@ def flip_step_distribution(
         if num:
             out[key] = fraction_of(num, den)
             used += num
-    # the total mass used / den, checked exactly in integers
-    if used > den:
-        raise InvariantError("flip masses exceed 1")
     out[None] = Fraction(den - used, den)
     return out
 

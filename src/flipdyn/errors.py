@@ -4,9 +4,10 @@ which every file the package writes maps an OS failure to InputError
 
 The CLI maps these onto process exit codes: InputError -> 2,
 CapacityError -> 3.  InvariantError signals an internal consistency
-violation (e.g. a probability vector that breaks monotonicity mid-way
-through a coupling construction) and is always a bug or bad input data,
-never an expected runtime condition.
+violation and is always a bug, never an expected runtime condition.  Three
+raise it: greedy_coupling_distribution when its move masses exceed 1, the
+coupled walk's rebuild when the mass of D exceeds its draw budget, and
+lp.solve when constraint generation does not converge.
 """
 
 from __future__ import annotations

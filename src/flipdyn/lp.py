@@ -57,6 +57,7 @@ neither.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -193,7 +194,6 @@ class HFamily:
         self.n_max = n_max
         self.lam_var_for = lam_var_for
         self.label_for = label_for or _h_label
-        self._table: Optional[TupleTable] = None
 
     def tuples(self) -> Iterator[tuple[tuple, tuple, int, int]]:
         n, m = self.n_max, self.m
@@ -231,12 +231,10 @@ class HFamily:
         lam = assignment.get(self.lam_var_for(a, b, A, B), ZERO)
         return (-1 + self.m * lam) - h_value(pvals, A, B, a, b)
 
-    @property
+    @functools.cached_property
     def table(self) -> "TupleTable":
         """The family's tuples as compact columns, built on first use."""
-        if self._table is None:
-            self._table = TupleTable.build(self)
-        return self._table
+        return TupleTable.build(self)
 
     def _h_columns(self, pv, work):
         """H at every tuple of the table, as a column of dtype work.

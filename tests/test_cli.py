@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import flipdyn.cli as cli
+import flipdyn.lp as lp_mod
 from flipdyn.cli import OBSERVATION_TIGHT_LABELS, main
+from flipdyn.graphs import read_neighboring_pair
 
 F = Fraction
 
@@ -17,6 +21,21 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# A malformed pair file and the message it fails with; None is a path
+# that does not exist.
+MALFORMED_PAIR_FILES = {
+    "unreadable": (None, "cannot read"),
+    "non-integer": ("2 3 x\n0 1\nsigma\n0 1\ntau\n0 2\n",
+                    "non-integer token while reading header"),
+    "bad-header": ("2 3 -1\nsigma\n0 1\ntau\n0 2\n", "bad header values"),
+    "edge-order": ("2 3 1\n1 0\nsigma\n0 1\ntau\n0 2\n",
+                   "edge (1,0) must satisfy 0 <= u < v < n"),
+    "no-sigma": ("2 3 1\n0 1\n0 1\ntau\n0 2\n", "expected 'sigma', got '0'"),
+    "wrong-tau": ("2 3 1\n0 1\nsigma\n0 1\nrho\n0 2\n", "expected 'tau', got 'rho'"),
+    "trailing": ("2 3 1\n0 1\nsigma\n0 1\ntau\n0 2\n1\n", "trailing tokens after colorings"),
+}
 
 
 class TestLpCommands:
@@ -73,8 +92,6 @@ class TestLpCommands:
         assert "violated" in out
 
     def test_solve_cross_check(self, capsys, monkeypatch):
-        import flipdyn.lp as lp_mod
-
         argv = ["lp", "solve", "--kind", "tight", "--cross-check"]
         code, out, _ = run(argv, capsys)
         assert code == 0
@@ -83,6 +100,12 @@ class TestLpCommands:
         code, _, err = run(argv, capsys)
         assert code == 1
         assert "cross-check FAILED" in err
+
+    def test_solve_not_optimal_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(lp_mod, "solve", lambda inst: lp_mod.LPSolution("infeasible", None, {}))
+        for extra in ([], ["--json"]):
+            code, out, err = run(["lp", "solve", "--kind", "tight", *extra], capsys)
+            assert (code, out, err) == (1, "", "status: infeasible\n")
 
     def test_slack_json(self, capsys):
         argv = ["lp", "slack", "--kind", "vigoda", "--nmax", "6", "--vector", "alt", "--json"]
@@ -144,6 +167,26 @@ class TestConstructAndChecks:
             assert code == 2
             assert "must contain both sigma and tau" in err
 
+    @pytest.mark.parametrize("command", [["check", "marginals"],
+                                         ["sim", "couple", "--replicas", "1"]])
+    @pytest.mark.parametrize("text,message", MALFORMED_PAIR_FILES.values(),
+                             ids=list(MALFORMED_PAIR_FILES))
+    def test_malformed_pair_file_exits_2(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "pair.txt"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(command + ["--pair", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and message in err
+
+    def test_construct_degree_1_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pair.txt"
+        code, out, err = run(
+            ["construct", "--index", "2", "--d", "1", "--k", "5", "--out", str(path)], capsys
+        )
+        assert (code, out, err) == (2, "", "input error: need d >= 2, got 1\n")
+        assert not path.exists()
+
     def test_construct_invalid_exits_2(self, capsys):
         code, _, err = run(
             ["construct", "--index", "1", "--d", "3", "--k", "5", "--out", "/tmp/x"],
@@ -175,6 +218,80 @@ class TestConstructAndChecks:
         assert code == 0
         data = json.loads(payload)
         assert data["ok"] and data["missing"] == [] and data["extra"] == []
+
+
+class TestFailedChecks:
+    """A check that fails says what failed, in text and --json, and exits 1."""
+
+    @pytest.mark.parametrize("side", ["sigma", "tau"])
+    def test_marginal_mismatch(self, side, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "pair.txt")
+        run(["construct", "--index", "2", "--d", "2", "--k", "4", "--out", path], capsys)
+        skewed = getattr(read_neighboring_pair(path), side)
+        real = cli.flip_step_distribution
+
+        def law(g, col, probs):
+            # one flip's mass moved onto the no-op, on one side only
+            out = real(g, col, probs)
+            if col == skewed:
+                out[None] += out.pop(next(f for f in out if f is not None))
+            return out
+
+        monkeypatch.setattr(cli, "flip_step_distribution", law)
+        code, out, _ = run(["check", "marginals", "--pair", path], capsys)
+        assert (code, out) == (1, f"marginals: {side} marginal mismatch\n")
+        code, out, _ = run(["check", "marginals", "--pair", path, "--json"], capsys)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "failures": [f"{side} marginal mismatch"]}
+
+    def test_stationary_failures(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "pair.txt")
+        run(["construct", "--index", "2", "--d", "2", "--k", "4", "--out", path], capsys)
+        failures = tuple(f"asymmetry {i}" for i in range(25))
+        real, reports = cli.stationary_check_tiny, []
+
+        def failing(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return dataclasses.replace(reports[-1], symmetry_ok=False, failures=failures)
+
+        monkeypatch.setattr(cli, "stationary_check_tiny", failing)
+        code, out, _ = run(["check", "stationary", "--pair", path], capsys)
+        assert code == 1
+        report = reports[0]
+        assert out == (
+            f"states: {report.n_states}, proper: {report.proper_states}, "
+            f"reachable from first proper: {report.reachable_proper}\n"
+            "row sums stochastic: True\nproper-pair symmetry: False\n"
+            + "".join(f"  failure: {f}\n" for f in failures[:10])
+        )
+        code, out, _ = run(["check", "stationary", "--pair", path, "--json"], capsys)
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False and data["failures"] == list(failures[:20])
+
+    def test_observation_mismatch(self, capsys, monkeypatch):
+        real = lp_mod.slack_report
+
+        def report(inst, assignment):
+            # cap/1 no longer tight, cap/2 tight instead
+            r = real(inst, assignment)
+            return dataclasses.replace(
+                r, tight=tuple(x for x in r.tight if x != "cap/1") + ("cap/2",))
+
+        monkeypatch.setattr(lp_mod, "slack_report", report)
+        got = sorted(OBSERVATION_TIGHT_LABELS - {"cap/1"} | {"cap/2"})
+        code, out, _ = run(["check", "observation"], capsys)
+        assert code == 1
+        assert out == (
+            f"tight cap/H labels ({len(got)}):\n" + "".join(f"  {x}\n" for x in got)
+            + "MISSING (expected tight, not tight):\n  cap/1\n"
+            + "EXTRA (tight, not expected):\n  cap/2\n"
+            + "MISMATCH\n"
+        )
+        code, out, _ = run(["check", "observation", "--json"], capsys)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "missing": ["cap/1"], "extra": ["cap/2"],
+                                   "tight": got}
 
 
 class TestSimCommands:
@@ -319,8 +436,6 @@ class TestUnwritableOutput:
     failed check (exit 1)."""
 
     def test_lp_solve_out(self, tmp_path, capsys, monkeypatch):
-        import flipdyn.lp as lp_mod
-
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the --out path was checked")
 

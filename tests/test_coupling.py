@@ -316,9 +316,14 @@ def bounded_degree_pairs(draw, proper: bool, n_max: int = 10, k_max: int = 8):
 
 
 def check_block_properties(pair, probs):
-    """Mass 1, exact marginals, the terminating oracle, and every block
-    built without an InvariantError: the generic blocks' decomposition
-    checks and the residual checks of every block's moves."""
+    """Mass 1, every move of positive mass (so no block emits a negative
+    residual), exact marginals, the terminating oracle, and the exact
+    decomposition of each generic block's two big components:
+    S_sigma(v,c) = {v} + the a entries, S_tau(v,c) = {v} + the b entries."""
+    for blk in coupling._blocks(pair):
+        if isinstance(blk, coupling._GenericBlock) and blk.u:
+            assert len(blk.sv_sigma) == 1 + sum(map(len, blk.a_sets))
+            assert len(blk.sv_tau) == 1 + sum(map(len, blk.b_sets))
     dist = greedy_coupling_distribution(pair, probs)
     assert dist.total_mass() == 1
     assert all(m.mass > 0 for m in dist.moves)
@@ -468,7 +473,7 @@ def walk_cache_mismatches(pair, probs, seed, step_cap=300):
     checked = 0
     while True:
         assert_pair_is_fresh(walk.pair)
-        if walk._dirty:
+        if walk._cache is None or None in walk._cache:
             walk._rebuild()
         fresh, labels = _difference_moves(walk.pair, probs)
         cached = [(sf, tf, F(num, walk._den)) for sf, tf, num in walk._moves]

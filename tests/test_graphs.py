@@ -216,6 +216,14 @@ class TestNeighboringPair:
         with pytest.raises(InputError):
             NeighboringPair(g, a, Coloring((0, 1, 0), 2))
 
+    def test_rejects_a_coloring_of_another_length(self):
+        g = path(3)
+        a = Coloring((0, 1, 0), 3)
+        for other in (Coloring((0, 2), 3), Coloring((0, 2, 0, 1), 3)):
+            for sigma, tau in ((a, other), (other, a)):
+                with pytest.raises(InputError, match="coloring length does not match graph"):
+                    NeighboringPair(g, sigma, tau)
+
 
 class TestPairFile:
     def test_round_trip(self, tmp_path):
