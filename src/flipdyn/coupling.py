@@ -13,12 +13,14 @@ A color c outside {s, t} has a generic block.  With u_1 < ... < u_m the
 c-colored neighbors of v, the component of v on the sigma side
 decomposes exactly as S_sigma(v,c) = {v} + sum of S_tau(u_i, s)
 (distinct components counted once; repeated ones are recorded as empty),
-and symmetrically on the tau side.  The greedy coupling pairs the big
-component on each side against the largest opposite block entry and
-couples the rest so that both marginals are exactly the single-coloring
-flip distribution.  A color absent from the neighborhood (delta_c = 0) is
-the degenerate generic block: both sides are {v}, there are no entries,
-and its one move coalesces.
+and symmetrically on the tau side, on improper pairs too.  This is how
+the block is built: it searches only the per-neighbor entries and takes
+each v-rooted component as {v} plus their union.  The greedy coupling
+pairs the big component on each side against the largest opposite block
+entry and couples the rest so that both marginals are exactly the
+single-coloring flip distribution.  A color absent from the neighborhood
+(delta_c = 0) is the degenerate generic block: both sides are {v}, there
+are no entries, and its one move coalesces.
 
 The colors s and t share one disagreement block whose components are the
 generic formulas at c = s and c = t, all alternating components: the big
@@ -62,7 +64,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .dynamics import FlipProbabilities, fraction_of
 from .errors import CapacityError, InputError, InvariantError
@@ -83,14 +85,14 @@ Entries = list[tuple[str, Optional[Flip]]]
 # A move of D as a block emits it: (sigma flip, tau flip, num), with num
 # the move's mass times probs.scale * n * k, an integer.
 RawMove = tuple[Optional[Flip], Optional[Flip], int]
+_EMPTY: frozenset[int] = frozenset()
 
 
 def _mk_flip(vertices: frozenset[int], c1: int, c2: int) -> Flip:
     return (vertices, min(c1, c2), max(c1, c2))
 
 
-@dataclass(frozen=True, slots=True)
-class CoupledMove:
+class CoupledMove(NamedTuple):
     """One joint move: a flip (or nothing) on each side, with its mass
     num / den."""
 
@@ -175,9 +177,12 @@ def _argmax_lowest(sizes: Sequence[int]) -> int:
 class _GenericBlock:
     """Difference block for one color c outside {s, t}.
 
-    An absent color (delta_c = 0) has both sides {v}, no entries and one
-    coalescing move; it runs no search.  Its moves depend only on which
-    of the colors s, t, c each vertex of N[visited()] carries.
+    The block searches only its per-neighbor entries and takes the two
+    v-rooted components from them: S_sigma(v,c) = {v} + the a entries and
+    S_tau(v,c) = {v} + the b entries.  An absent color (delta_c = 0) has
+    both sides {v}, no entries and one coalescing move; it runs no search.
+    Its moves depend only on which of the colors s, t, c each vertex of
+    N[visited()] carries.
     """
 
     __slots__ = ("c", "s", "t", "colors", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets",
@@ -186,41 +191,51 @@ class _GenericBlock:
     def __init__(self, pair: NeighboringPair, c: int):
         self.c, self.s, self.t = c, pair.s, pair.t
         self.colors = (pair.s, pair.t, c)
+        v = frozenset((pair.v,))
         if not pair.delta(c):
             self.u = self.a_sets = self.b_sets = ()
-            self.sv_sigma = self.sv_tau = frozenset((pair.v,))
+            self.sv_sigma = self.sv_tau = v
             self.i_max = self.j_max = None
             return
-        g, sig, tau, v = pair.graph, pair.sigma, pair.tau, pair.v
+        g = pair.graph
         self.u = pair.neighbors_colored(c)
-        self.sv_sigma = alternating_component(g, sig, v, c)
-        self.sv_tau = alternating_component(g, tau, v, c)
-        self.a_sets = _dedup([alternating_component(g, tau, u, pair.s) for u in self.u])
-        self.b_sets = _dedup([alternating_component(g, sig, u, pair.t) for u in self.u])
+        self.a_sets = _neighbor_components(g, pair.tau, self.u, pair.s)[1]
+        self.b_sets = _neighbor_components(g, pair.sigma, self.u, pair.t)[1]
+        self.sv_sigma = v.union(*self.a_sets)
+        self.sv_tau = v.union(*self.b_sets)
         self.i_max = _argmax_lowest([len(x) for x in self.a_sets])
         self.j_max = _argmax_lowest([len(x) for x in self.b_sets])
 
     def visited(self) -> frozenset[int]:
         """Every vertex the block's searches reached, v included."""
-        return self.sv_sigma.union(self.sv_tau, *self.a_sets, *self.b_sets)
+        return self.sv_sigma | self.sv_tau
+
+    def draws(self) -> int:
+        """The distinct draws that select one of the block's sigma flips."""
+        return len(self.sv_sigma) + sum(map(len, self.b_sets))
 
     def moves(self, probs: FlipProbabilities) -> list[RawMove]:
         s, t, c = self.s, self.t, self.c
+        s_lo, s_hi = (s, c) if s < c else (c, s)
+        t_lo, t_hi = (t, c) if t < c else (c, t)
+        v_sigma = (self.sv_sigma, s_lo, s_hi)
+        v_tau = (self.sv_tau, t_lo, t_hi)
         if not self.u:
             # p_1 = 1: v's two singleton flips to c coalesce
-            return [(_mk_flip(self.sv_sigma, s, c), _mk_flip(self.sv_tau, t, c), probs.scale)]
+            return [(v_sigma, v_tau, probs.scale)]
         mass = probs.mass_scaled
+        a_flips = [(aset, s_lo, s_hi) for aset in self.a_sets]
+        b_flips = [(bset, t_lo, t_hi) for bset in self.b_sets]
+        i_max, j_max = self.i_max, self.j_max
         pA = mass(len(self.sv_sigma))
         pB = mass(len(self.sv_tau))
         out: list[RawMove] = []
-        _emit(out, _mk_flip(self.sv_sigma, s, c), _mk_flip(self.a_sets[self.i_max], c, s), pA)
-        _emit(out, _mk_flip(self.b_sets[self.j_max], c, t), _mk_flip(self.sv_tau, t, c), pB)
-        for i in range(len(self.u)):
-            q = mass(len(self.a_sets[i])) - (pA if i == self.i_max else 0)
-            qp = mass(len(self.b_sets[i])) - (pB if i == self.j_max else 0)
+        _emit(out, v_sigma, a_flips[i_max], pA)
+        _emit(out, b_flips[j_max], v_tau, pB)
+        for i, (a_flip, b_flip) in enumerate(zip(a_flips, b_flips)):
+            q = mass(len(a_flip[0])) - (pA if i == i_max else 0)
+            qp = mass(len(b_flip[0])) - (pB if i == j_max else 0)
             both = min(q, qp)
-            a_flip = _mk_flip(self.a_sets[i], c, s)
-            b_flip = _mk_flip(self.b_sets[i], c, t)
             _emit(out, b_flip, a_flip, both)
             _emit(out, None, a_flip, q - both)
             _emit(out, b_flip, None, qp - both)
@@ -261,20 +276,22 @@ class _GenericBlock:
 
 
 def _neighbor_components(
-    g: Graph, col: Coloring, nbrs: Sequence[int], c: int, big: frozenset[int]
+    g: Graph, col: Coloring, nbrs: Sequence[int], c: int, big: frozenset[int] = _EMPTY
 ) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """Each neighbor's alternating component toward c, and the distinct
-    ones other than big in neighbor order.  A neighbor inside big, or
-    inside a component already found, reuses it instead of searching."""
+    """Each neighbor's alternating component toward c, and the same list
+    with big and every repeat left empty, so that each other component
+    stands once, at its first neighbor.  A neighbor inside big, or inside
+    a component already found, reuses it instead of searching."""
     comps: list[frozenset[int]] = []
-    pure: list[frozenset[int]] = []
+    firsts: list[frozenset[int]] = []
     for u in nbrs:
-        comp = big if u in big else next((p for p in pure if u in p), None)
-        if comp is None:
+        comp = big if u in big else next((p for p in firsts if u in p), None)
+        found = comp is None
+        if found:
             comp = alternating_component(g, col, u, c)
-            pure.append(comp)
         comps.append(comp)
-    return comps, pure
+        firsts.append(comp if found else _EMPTY)
+    return comps, firsts
 
 
 class _DisagreementBlock:
@@ -292,9 +309,12 @@ class _DisagreementBlock:
         self.m = alternating_component(g, tau, v, s)
         # the sigma-side component of each s-colored neighbor and the
         # tau-side component of each t-colored one; a neighbor whose
-        # {s,t}-component attaches to v both ways lies in the big one
-        self.x_sets, self.pure_x = _neighbor_components(g, sig, self.x, t, self.lam)
-        self.y_sets, self.pure_y = _neighbor_components(g, tau, self.y, s, self.m)
+        # {s,t}-component attaches to v both ways lies in the big one.
+        # pure_x and pure_y are the other components, once each.
+        self.x_sets, firsts = _neighbor_components(g, sig, self.x, t, self.lam)
+        self.pure_x = [comp for comp in firsts if comp]
+        self.y_sets, firsts = _neighbor_components(g, tau, self.y, s, self.m)
+        self.pure_y = [comp for comp in firsts if comp]
         self.mixed = any(x in self.lam for x in self.x)
 
     def visited(self) -> frozenset[int]:
@@ -302,12 +322,19 @@ class _DisagreementBlock:
         t-colored neighbor, so lam and m cover them all."""
         return self.lam | self.m
 
+    def draws(self) -> int:
+        """The distinct draws that select one of the block's sigma flips."""
+        return len(self.lam) + sum(map(len, self.pure_x))
+
     def moves(self, probs: FlipProbabilities) -> list[RawMove]:
         s, t = self.s, self.t
+        lo, hi = (s, t) if s < t else (t, s)
         mass = probs.mass_scaled
         p_lam = mass(len(self.lam))
         p_m = mass(len(self.m))
-        lam, m = _mk_flip(self.lam, s, t), _mk_flip(self.m, s, t)
+        lam, m = (self.lam, lo, hi), (self.m, lo, hi)
+        pure_x = [(comp, lo, hi) for comp in self.pure_x]
+        pure_y = [(comp, lo, hi) for comp in self.pure_y]
         out: list[RawMove] = []
 
         if self.mixed:
@@ -315,26 +342,24 @@ class _DisagreementBlock:
             _emit(out, lam, m, both)
             _emit(out, lam, None, p_lam - both)
             _emit(out, None, m, p_m - both)
-            for comp in self.pure_x:
-                _emit(out, _mk_flip(comp, s, t), None, mass(len(comp)))
-            for comp in self.pure_y:
-                _emit(out, None, _mk_flip(comp, s, t), mass(len(comp)))
+            for f in pure_x:
+                _emit(out, f, None, mass(len(f[0])))
+            for f in pure_y:
+                _emit(out, None, f, mass(len(f[0])))
             return out
 
-        if self.pure_y:
+        if pure_y:
             j_hat = _argmax_lowest([len(comp) for comp in self.pure_y])
-            _emit(out, lam, _mk_flip(self.pure_y[j_hat], s, t), p_lam)
-            for j, comp in enumerate(self.pure_y):
-                residual = mass(len(comp)) - (p_lam if j == j_hat else 0)
-                _emit(out, None, _mk_flip(comp, s, t), residual)
+            _emit(out, lam, pure_y[j_hat], p_lam)
+            for j, f in enumerate(pure_y):
+                _emit(out, None, f, mass(len(f[0])) - (p_lam if j == j_hat else 0))
         else:
             _emit(out, lam, None, p_lam)
-        if self.pure_x:
+        if pure_x:
             i_hat = _argmax_lowest([len(comp) for comp in self.pure_x])
-            _emit(out, _mk_flip(self.pure_x[i_hat], s, t), m, p_m)
-            for i, comp in enumerate(self.pure_x):
-                residual = mass(len(comp)) - (p_m if i == i_hat else 0)
-                _emit(out, _mk_flip(comp, s, t), None, residual)
+            _emit(out, pure_x[i_hat], m, p_m)
+            for i, f in enumerate(pure_x):
+                _emit(out, f, None, mass(len(f[0])) - (p_m if i == i_hat else 0))
         else:
             _emit(out, None, m, p_m)
         return out
@@ -386,6 +411,11 @@ def _block_keys(pair: NeighboringPair) -> list[int]:
     ascending, then s for the disagreement block."""
     s, t = pair.s, pair.t
     return [c for c in range(pair.k) if c != s and c != t] + [s]
+
+
+def _generic_index(c: int, s: int, t: int) -> int:
+    """The index in _block_keys of a color c outside {s, t}."""
+    return c - (c > s) - (c > t)
 
 
 def _blocks(pair: NeighboringPair) -> list[Block]:
@@ -601,7 +631,7 @@ class _CachedBlock:
         self.moves = blk.moves(probs)
         self.floats = [num / den for _, _, num in self.moves]
         self.total = sum(num for _, _, num in self.moves)
-        self.draws = sum(len(f[0]) for f in set(blk.sigma_flips()))
+        self.draws = blk.draws()
 
     def stale_after(self, comp: frozenset[int], lo: int, hi: int) -> bool:
         """Whether flipping comp between lo and hi can change the block:
@@ -706,11 +736,21 @@ class CoupledWalk:
         self._idx = 0
 
     def _drop(self, comp: frozenset[int], lo: int, hi: int) -> None:
-        """Drop the cached blocks an identity flip of comp may change."""
+        """Drop the cached blocks an identity flip of comp may change.
+
+        Only a block whose colors hold lo or hi can go stale.  A flip
+        between two colors outside {s, t} reaches just the generic blocks
+        of lo and hi, found by their index in _block_keys order."""
         cache = self._cache
         if cache is None:
             return
-        for i, entry in enumerate(cache):
+        s, t = self.pair.s, self.pair.t
+        if lo == s or lo == t or hi == s or hi == t:
+            reached = range(len(cache))
+        else:
+            reached = (_generic_index(lo, s, t), _generic_index(hi, s, t))
+        for i in reached:
+            entry = cache[i]
             if entry is not None and entry.stale_after(comp, lo, hi):
                 cache[i] = None
 
@@ -768,7 +808,7 @@ class CoupledWalk:
                 _, lo, hi = drawn
                 sig = flip(self.pair.sigma, comp, lo, hi)
                 tau = flip(self.pair.tau, comp, lo, hi)
-                self.pair = self.pair._flipped_off_v(sig, tau)
+                self.pair = self.pair._flipped_off_v(sig, tau, comp)
                 self._drop(comp, lo, hi)
                 return CoupledMove(drawn, drawn, 0, self._den, False)
             return None

@@ -261,7 +261,9 @@ def stationary_check_tiny(
 
     Checks, in exact rational arithmetic: (a) P(x -> y) = P(y -> x) for
     every ordered pair of distinct proper colorings, and (b) every row of
-    the transition kernel sums to 1.  Symmetry is asserted for proper
+    the transition kernel is stochastic: no flip has negative mass, and the
+    no-op mass, 1 minus the flips' total, is at least 1/k (the bound
+    flip_step_distribution states).  Symmetry is asserted for proper
     states only: flips from an improper state can merge with monochromatic
     structure when reversed, and the chain restricted to proper states is
     what the uniform-stationarity argument needs (proper states are closed
@@ -281,18 +283,16 @@ def stationary_check_tiny(
     for state in itertools.product(range(k), repeat=g.n):
         col = Coloring(state, k)
         dist = flip_step_distribution(g, col, probs)
-        row: dict[tuple[int, ...], Fraction] = {}
-        for key, mass in dist.items():
-            if key is None:
-                tgt = state
-            else:
-                comp, lo, hi = key
-                tgt = flip(col, comp, lo, hi).colors
+        flips = [(key, mass) for key, mass in dist.items() if key is not None]
+        noop = 1 - sum(mass for _, mass in flips)
+        row: dict[tuple[int, ...], Fraction] = {state: noop}
+        for (comp, lo, hi), mass in flips:
+            tgt = flip(col, comp, lo, hi).colors
             row[tgt] = row.get(tgt, Fraction(0)) + mass
         transitions[state] = row
-        if sum(row.values()) != 1:
+        if noop < Fraction(1, k) or any(mass < 0 for _, mass in flips):
             stoch_ok = False
-            failures.append(f"row sum != 1 at state {state}")
+            failures.append(f"row not stochastic at state {state}")
         if is_proper(g, col):
             proper_states.append(state)
 

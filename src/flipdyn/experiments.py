@@ -195,7 +195,8 @@ def _stage_replica(replica: int) -> tuple:
 
 
 def _map_replicas(config: ExperimentConfig, fn, work: dict) -> list[tuple]:
-    workers = config.workers if config.workers > 0 else min(os.cpu_count() or 1, 8)
+    # a pool larger than the replica count would only start idle workers
+    workers = min(config.workers or min(os.cpu_count() or 1, 8), config.replicas)
     if workers <= 1 or config.replicas < 64 or not hasattr(os, "fork"):
         _WORK.update(work)
         return [fn(i) for i in range(config.replicas)]

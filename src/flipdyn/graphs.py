@@ -226,17 +226,22 @@ class NeighboringPair:
             counts[cu] = counts.get(cu, 0) + 1
         return counts
 
-    def _flipped_off_v(self, sigma: Coloring, tau: Coloring) -> "NeighboringPair":
-        """The pair after one flip applied to both sides away from v.
+    def _flipped_off_v(self, sigma: Coloring, tau: Coloring,
+                       comp: frozenset[int]) -> "NeighboringPair":
+        """The pair after a flip of comp applied to both sides away from v.
 
-        The caller guarantees that the flip's component misses v, so v, s
-        and t are unchanged and the two sides still differ at v alone;
-        only delta is recounted, over the neighbors of v.
+        The caller guarantees that comp misses v, so v, s and t are
+        unchanged and the two sides still differ at v alone.  delta is
+        recounted over the neighbors of v when comp holds one of them, and
+        kept otherwise.
         """
         out = object.__new__(NeighboringPair)
         out.graph, out.sigma, out.tau = self.graph, sigma, tau
         out.v, out.s, out.t = self.v, self.s, self.t
-        out._delta = out._neighbor_counts()
+        if comp.isdisjoint(self.graph.adj[self.v]):
+            out._delta = self._delta
+        else:
+            out._delta = out._neighbor_counts()
         return out
 
     @property

@@ -315,15 +315,26 @@ def bounded_degree_pairs(draw, proper: bool, n_max: int = 10, k_max: int = 8):
     return NeighboringPair(g, sigma, sigma.recolor({v: t}))
 
 
+def generic_component_mismatches(pair):
+    """The generic blocks of pair whose v-rooted components, built from
+    their entries, differ from a fresh search: S_sigma(v,c) on the sigma
+    side and S_tau(v,c) on the tau side."""
+    g, v = pair.graph, pair.v
+    return sum((blk.sv_sigma, blk.sv_tau) != (alternating_component(g, pair.sigma, v, blk.c),
+                                              alternating_component(g, pair.tau, v, blk.c))
+               for blk in coupling._blocks(pair) if isinstance(blk, coupling._GenericBlock))
+
+
 def check_block_properties(pair, probs):
     """Mass 1, every move of positive mass (so no block emits a negative
-    residual), exact marginals, the terminating oracle, and the exact
-    decomposition of each generic block's two big components:
-    S_sigma(v,c) = {v} + the a entries, S_tau(v,c) = {v} + the b entries."""
+    residual), exact marginals, the terminating oracle, each generic
+    block's two big components against a fresh search, and each block's
+    draw count against its distinct sigma flips."""
+    assert generic_component_mismatches(pair) == 0
+    den = probs.scale * pair.graph.n * pair.k
     for blk in coupling._blocks(pair):
-        if isinstance(blk, coupling._GenericBlock) and blk.u:
-            assert len(blk.sv_sigma) == 1 + sum(map(len, blk.a_sets))
-            assert len(blk.sv_tau) == 1 + sum(map(len, blk.b_sets))
+        cached = coupling._CachedBlock(blk, pair.graph, probs, den)
+        assert cached.draws == sum(len(f[0]) for f in set(blk.sigma_flips()))
     dist = greedy_coupling_distribution(pair, probs)
     assert dist.total_mass() == 1
     assert all(m.mass > 0 for m in dist.moves)
@@ -386,6 +397,17 @@ class TestBlockProperties:
                        (f"sigma:u{y}", None)]
         assert d[s] == want_s
         assert d[t] == want_t
+
+    def test_a_tau_side_built_from_the_a_entries_is_caught(self, monkeypatch):
+        build = coupling._GenericBlock.__init__
+
+        def mutant(self, pair, c):
+            build(self, pair, c)
+            self.sv_tau = frozenset((pair.v,)).union(*self.a_sets)
+
+        monkeypatch.setattr(coupling._GenericBlock, "__init__", mutant)
+        pairs = [build_construction(ConstructionSpec(index, 6, 11)) for index in (1, 2, 3, 4)]
+        assert sum(map(generic_component_mismatches, pairs)) > 0
 
 
 class TestIntegerMasses:
@@ -528,6 +550,17 @@ class TestWalkBlockCache:
         own = entry.colors[-1:]
         return (lo in own or hi in own) and not comp.isdisjoint(entry.reads)
 
+    @staticmethod
+    def _construction_mismatches():
+        """Walks on constructions 1-4 at d=6, k=11, four seeds each, whose
+        kept blocks ever give another table than a full rebuild."""
+        differ = 0
+        for index in (1, 2, 3, 4):
+            pair = build_construction(ConstructionSpec(index, 6, 11))
+            for seed in range(4):
+                differ += walk_cache_mismatches(pair, mixed_vector(), seed)[1]
+        return differ
+
     @pytest.mark.parametrize("mutant", ["colors", "reads"])
     def test_a_narrowed_drop_rule_is_caught(self, mutant, monkeypatch):
         # Leaving out either test of the drop rule only drops more blocks,
@@ -537,12 +570,13 @@ class TestWalkBlockCache:
         else:
             # the read set without the neighbors of the visited vertices
             monkeypatch.setattr(coupling, "_closed_neighborhood", lambda g, vs: frozenset(vs))
-        differ = 0
-        for index in (1, 2, 3, 4):
-            pair = build_construction(ConstructionSpec(index, 6, 11))
-            for seed in range(4):
-                differ += walk_cache_mismatches(pair, mixed_vector(), seed)[1]
-        assert differ >= 2
+        assert self._construction_mismatches() >= 2
+
+    def test_a_block_index_without_the_t_shift_is_caught(self, monkeypatch):
+        # an identity flip then tests the block of the next color instead
+        # of its own whenever the color lies above t
+        monkeypatch.setattr(coupling, "_generic_index", lambda c, s, t: c - (c > s))
+        assert self._construction_mismatches() >= 2
 
 
 def retargeted(pair):

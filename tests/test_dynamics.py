@@ -193,15 +193,40 @@ class TestStationaryTiny:
         return stationary_check_tiny(Graph(3, [(0, 1), (0, 2), (1, 2)]), 3, vigoda_vector())
 
     def test_row_sum_failure(self, monkeypatch):
-        def extra_noop(dist):
-            dist[None] += F(1, 100)
+        def noop_to_flip(dist):
+            flip_key = next(key for key in dist if key is not None)
+            dist[flip_key] += F(1, 100)
+            dist[None] -= F(1, 100)
 
-        # (0, 0, 0) is improper, so only the row sum is off.
-        rep = self._check_with(monkeypatch, (0, 0, 0), extra_noop)
+        # At (0, 0, 0) the six singleton flips leave a no-op mass of
+        # exactly 1/k, so any mass moved onto a flip takes it below.  The
+        # state is improper, so only the row is off.
+        rep = self._check_with(monkeypatch, (0, 0, 0), noop_to_flip)
         assert not rep.stochastic_ok
         assert rep.symmetry_ok
         assert not rep.ok
-        assert rep.failures == ("row sum != 1 at state (0, 0, 0)",)
+        assert rep.failures == ("row not stochastic at state (0, 0, 0)",)
+
+    def test_negative_flip_mass_is_caught(self, monkeypatch):
+        def negative_flip(dist):
+            flip_key = next(key for key in dist if key is not None)
+            dist[None] += dist[flip_key] + F(1, 100)
+            dist[flip_key] = -F(1, 100)
+
+        rep = self._check_with(monkeypatch, (0, 0, 0), negative_flip)
+        assert not rep.stochastic_ok
+        assert rep.failures == ("row not stochastic at state (0, 0, 0)",)
+
+    def test_inflated_scaled_masses_are_caught(self, monkeypatch):
+        # One unit over L * n * k more on every flip: the row sums stay 1,
+        # since the no-op mass is the remainder, but (0, 0, 0) falls
+        # below the 1/k floor.
+        real = FlipProbabilities.mass_scaled
+        monkeypatch.setattr(FlipProbabilities, "mass_scaled",
+                            lambda self, alpha: real(self, alpha) + 1)
+        rep = stationary_check_tiny(Graph(3, [(0, 1), (0, 2), (1, 2)]), 3, vigoda_vector())
+        assert not rep.stochastic_ok
+        assert "row not stochastic at state (0, 0, 0)" in rep.failures
 
     def test_symmetry_failure(self, monkeypatch):
         def shift_to_noop(dist):

@@ -1,6 +1,7 @@
 """Monte Carlo experiment harness: determinism, checks, degenerate cases."""
 
 import json
+import multiprocessing
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -102,6 +103,31 @@ class TestCouplingExperiment:
             texts.add(rep.to_text())
             jsons.add(rep.to_json())
         assert len(texts) == 1 and len(jsons) == 1
+
+    def test_pool_is_capped_at_the_replica_count(self, monkeypatch):
+        # A pool that records the size asked for and maps in-process, so
+        # no process starts whatever the size.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize):
+                return map(fn, items)
+
+        want = run_coupling_experiment(cfg(replicas=64, workers=1)).to_json()
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
+        assert run_coupling_experiment(cfg(replicas=64, workers=5000)).to_json() == want
+        run_coupling_experiment(cfg(workers=3))
+        assert sizes == [64, 3]
 
     def test_seed_changes_output(self):
         a = run_coupling_experiment(cfg(seed=1)).to_json()
