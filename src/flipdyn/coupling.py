@@ -806,8 +806,15 @@ class CoupledWalk:
             p = self.probs.mass_float(alpha)
             if p > 0 and u < p / alpha:
                 _, lo, hi = drawn
-                sig = flip(self.pair.sigma, comp, lo, hi)
-                tau = flip(self.pair.tau, comp, lo, hi)
+                # comp misses v, so both sides carry lo or hi on it: swap it
+                # once for sigma, then tau is sigma with t at v
+                new = list(cols)
+                for w in comp:
+                    new[w] = hi if new[w] == lo else lo
+                k = self.pair.k
+                sig = Coloring._unchecked(tuple(new), k)
+                new[self.pair.v] = self.pair.t
+                tau = Coloring._unchecked(tuple(new), k)
                 self.pair = self.pair._flipped_off_v(sig, tau, comp)
                 self._drop(comp, lo, hi)
                 return CoupledMove(drawn, drawn, 0, self._den, False)

@@ -95,6 +95,24 @@ def simplex_calls():
         lp.solve_simplex, simplex._pivot = solve, pivot
 
 
+@pytest.fixture
+def pivot_dtypes(monkeypatch):
+    """A list that gains the simplex tableau's dtype before and after every
+    pivot, as one (before, after) pair per pivot."""
+    import flipdyn.simplex as simplex
+
+    seen: list[tuple[object, object]] = []
+    pivot = simplex._pivot
+
+    def recorded(tab, cols, basis, r, e):
+        before = tab.a.dtype
+        pivot(tab, cols, basis, r, e)
+        seen.append((before, tab.a.dtype))
+
+    monkeypatch.setattr(simplex, "_pivot", recorded)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def paper_vectors():
     return {"vigoda": vigoda_vector(), "alt": alt_vector()}

@@ -336,3 +336,16 @@ def test_demo_stdout(name):
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "demos" / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLEX_PROGRAMS))
+def test_simplex_pivot_path_in_python_ints(name, monkeypatch, pivot_dtypes):
+    # With the int64 bound at 2**8 every program reaches Python ints: most
+    # solves switch within a pivot, the rest when their rows or reduced
+    # costs are first written.  The pinned calls must not move.
+    monkeypatch.setattr("flipdyn.simplex._INT64_BOUND", 2**8)
+    expected = json.loads((GOLDEN / "simplex.json").read_text())["programs"][name]
+    with simplex_calls() as calls:
+        solve(SIMPLEX_PROGRAMS[name]())
+    assert [simplex_record(c) for c in calls] == expected
+    assert any(after == object for _, after in pivot_dtypes)

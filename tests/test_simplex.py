@@ -95,6 +95,48 @@ def test_matches_reference_on_small_degenerate_programs():
         assert seen[outcome] >= 10, seen
 
 
+# Positive factors up to 2**70, about uniform in their bit length.
+FACTORS = st.integers(0, 69).flatmap(lambda b: st.integers(1 << b, 2 << b))
+
+
+@st.composite
+def scaled_programs(draw):
+    """small_programs with every row, its rhs and the objective multiplied
+    by a drawn factor, so that some tableaus start beyond int64's bound and
+    others cross it partway."""
+    variables, constraints, objective = draw(small_programs())
+    scaled = []
+    for coeffs, rel, rhs in constraints:
+        f = draw(FACTORS)
+        scaled.append(({v: f * c for v, c in coeffs.items()}, rel, f * rhs))
+    f = draw(FACTORS)
+    return variables, scaled, {v: f * c for v, c in objective.items()}
+
+
+def test_matches_reference_on_large_coefficients(pivot_dtypes):
+    seen = collections.Counter()
+
+    @settings(max_examples=300)
+    @given(prog=scaled_programs())
+    def check(prog):
+        variables, constraints, objective = prog
+        trace: list[tuple[int, int]] = []
+        expected = reference_simplex.solve_simplex(variables, constraints, objective,
+                                                   trace=trace)
+        pivot_dtypes.clear()
+        got, pivots = solve_traced(variables, constraints, objective)
+        assert got == expected
+        assert pivots == trace
+        if pivot_dtypes:
+            first, last = pivot_dtypes[0][0], pivot_dtypes[-1][1]
+            seen["python ints" if first == object else
+                 "switched" if last == object else "int64"] += 1
+
+    check()
+    for path in ("int64", "switched", "python ints"):
+        assert seen[path] >= 10, seen
+
+
 @pytest.mark.parametrize("build", [build_tight_lp, lambda: build_vigoda_lp(6, 2)],
                          ids=["tight", "vigoda-n6-m2"])
 def test_replays_lp_solve_calls(build):
