@@ -78,14 +78,12 @@ class StateCounts:
 
 def state_counts(pair: NeighboringPair) -> StateCounts:
     """Count colors in each state; the two disagreement colors are Good."""
-    counts = {label: 0 for label in StateLabel}
-    for c in range(pair.k):
-        counts[classify_color(pair, c)] += 1
+    labels = [classify_color(pair, c) for c in range(pair.k)]
     return StateCounts(
-        n_sing=counts[StateLabel.SING],
-        n_bad=counts[StateLabel.BAD],
-        n_good=counts[StateLabel.GOOD],
-        n_absent=counts[StateLabel.ABSENT],
+        n_sing=labels.count(StateLabel.SING),
+        n_bad=labels.count(StateLabel.BAD),
+        n_good=labels.count(StateLabel.GOOD),
+        n_absent=labels.count(StateLabel.ABSENT),
     )
 
 

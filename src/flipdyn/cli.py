@@ -145,6 +145,9 @@ def _experiment_config(args) -> ExperimentConfig:
         if args.d is None or args.k is None:
             raise InputError("--construction requires --d and --k")
         construction = ConstructionSpec(args.construction, args.d, args.k)
+    elif args.d is not None or args.k is not None:
+        # a pair file fixes d and k itself
+        raise InputError("--d and --k apply only with --construction")
     return ExperimentConfig(
         seed=args.seed,
         replicas=args.replicas,

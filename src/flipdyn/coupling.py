@@ -14,8 +14,10 @@ c-colored neighbors of v, the component of v on the sigma side
 decomposes exactly as S_sigma(v,c) = {v} + sum of S_tau(u_i, s)
 (distinct components counted once; repeated ones are recorded as empty),
 and symmetrically on the tau side, on improper pairs too.  This is how
-the block is built: it searches only the per-neighbor entries and takes
-each v-rooted component as {v} plus their union.  The greedy coupling
+the block is built, in one pass over u_1 < ... < u_m: each neighbor's a
+and b entries are searched together, a neighbor inside an earlier entry
+repeats it and records an empty one, and each v-rooted component is {v}
+plus the union of its side's entries.  The greedy coupling
 pairs the big component on each side against the largest opposite block
 entry and couples the rest so that both marginals are exactly the
 single-coloring flip distribution.  A color absent from the neighborhood
@@ -46,9 +48,15 @@ move carries its mass as an integer num over den = L * n * k, with
 L = probs.scale the lcm of the vector's denominators, so a block's
 minima and residuals, the marginals and the totals are integer sums;
 CoupledMove.mass and the CouplingDistribution sums make one Fraction per
-value they return.  greedy_coupling_distribution keeps the sigma side's
-flip list for the last (graph, sigma) it saw (_FLIPS), since consecutive
-pairs of a sweep share sigma.
+value they return.  A generic block's moves read the scaled masses once
+and write each min split inline.  Three one-entry caches, each compared
+by identity first, skip repeated work: greedy_coupling_distribution
+keeps the sigma side's flip list for the last (graph, sigma) it saw
+(_FLIPS), since consecutive pairs of a sweep share sigma; every walk
+from an equal start copies one start table (_START); and the walk
+records the table behind each move of D with the pair it was drawn at
+(_PRE), so signature of that pair, which is a replica's pre-stop pair
+once the walk ends, reads the block from the table instead of searching.
 
 A block also knows what it reads: its colors (s, t and c for a generic
 block, s and t for the disagreement block) and N[visited()], the
@@ -189,22 +197,49 @@ class _GenericBlock:
                  "i_max", "j_max")
 
     def __init__(self, pair: NeighboringPair, c: int):
-        self.c, self.s, self.t = c, pair.s, pair.t
-        self.colors = (pair.s, pair.t, c)
-        v = frozenset((pair.v,))
-        if not pair.delta(c):
+        s, t, v = pair.s, pair.t, pair.v
+        self.c, self.s, self.t = c, s, t
+        self.colors = (s, t, c)
+        if c not in pair._delta:
             self.u = self.a_sets = self.b_sets = ()
-            self.sv_sigma = self.sv_tau = v
+            self.sv_sigma = self.sv_tau = frozenset((v,))
             self.i_max = self.j_max = None
             return
-        g = pair.graph
-        self.u = pair.neighbors_colored(c)
-        self.a_sets = _neighbor_components(g, pair.tau, self.u, pair.s)[1]
-        self.b_sets = _neighbor_components(g, pair.sigma, self.u, pair.t)[1]
-        self.sv_sigma = v.union(*self.a_sets)
-        self.sv_tau = v.union(*self.b_sets)
-        self.i_max = _argmax_lowest([len(x) for x in self.a_sets])
-        self.j_max = _argmax_lowest([len(x) for x in self.b_sets])
+        g, sig, tau = pair.graph, pair.sigma, pair.tau
+        cols = sig.colors
+        u: list[int] = []
+        a_sets: list[frozenset[int]] = []
+        b_sets: list[frozenset[int]] = []
+        # {v} plus the entries so far: a neighbor inside one repeats that
+        # entry's component, and its own entry stays empty
+        sv_sigma, sv_tau = {v}, {v}
+        i_max = j_max = 0
+        a_top = b_top = -1
+        for w in g.adj[v]:
+            if cols[w] != c:
+                continue
+            if w in sv_sigma:
+                aset = _EMPTY
+            else:
+                aset = alternating_component(g, tau, w, s)
+                sv_sigma.update(aset)
+            if w in sv_tau:
+                bset = _EMPTY
+            else:
+                bset = alternating_component(g, sig, w, t)
+                sv_tau.update(bset)
+            # the lowest index attaining each maximum
+            if len(aset) > a_top:
+                a_top, i_max = len(aset), len(u)
+            if len(bset) > b_top:
+                b_top, j_max = len(bset), len(u)
+            u.append(w)
+            a_sets.append(aset)
+            b_sets.append(bset)
+        self.u = tuple(u)
+        self.a_sets, self.b_sets = a_sets, b_sets
+        self.sv_sigma, self.sv_tau = frozenset(sv_sigma), frozenset(sv_tau)
+        self.i_max, self.j_max = i_max, j_max
 
     def visited(self) -> frozenset[int]:
         """Every vertex the block's searches reached, v included."""
@@ -223,22 +258,40 @@ class _GenericBlock:
         if not self.u:
             # p_1 = 1: v's two singleton flips to c coalesce
             return [(v_sigma, v_tau, probs.scale)]
-        mass = probs.mass_scaled
+        # mass_scaled read inline: p_alpha * scale for 1 <= alpha <= top
+        scaled = probs._scaled
+        top = len(scaled)
         a_flips = [(aset, s_lo, s_hi) for aset in self.a_sets]
         b_flips = [(bset, t_lo, t_hi) for bset in self.b_sets]
         i_max, j_max = self.i_max, self.j_max
-        pA = mass(len(self.sv_sigma))
-        pB = mass(len(self.sv_tau))
+        size = len(self.sv_sigma)
+        pA = scaled[size - 1] if size <= top else 0
+        size = len(self.sv_tau)
+        pB = scaled[size - 1] if size <= top else 0
         out: list[RawMove] = []
-        _emit(out, v_sigma, a_flips[i_max], pA)
-        _emit(out, b_flips[j_max], v_tau, pB)
+        if pA:
+            out.append((v_sigma, a_flips[i_max], pA))
+        if pB:
+            out.append((b_flips[j_max], v_tau, pB))
         for i, (a_flip, b_flip) in enumerate(zip(a_flips, b_flips)):
-            q = mass(len(a_flip[0])) - (pA if i == i_max else 0)
-            qp = mass(len(b_flip[0])) - (pB if i == j_max else 0)
-            both = min(q, qp)
-            _emit(out, b_flip, a_flip, both)
-            _emit(out, None, a_flip, q - both)
-            _emit(out, b_flip, None, qp - both)
+            size = len(a_flip[0])
+            q = scaled[size - 1] if 0 < size <= top else 0
+            if i == i_max:
+                q -= pA
+            size = len(b_flip[0])
+            qp = scaled[size - 1] if 0 < size <= top else 0
+            if i == j_max:
+                qp -= pB
+            # min(q, qp) on both sides, then the residual on the larger one
+            if q <= qp:
+                if q:
+                    out.append((b_flip, a_flip, q))
+                if qp != q:
+                    out.append((b_flip, None, qp - q))
+            else:
+                if qp:
+                    out.append((b_flip, a_flip, qp))
+                out.append((None, a_flip, q - qp))
         return out
 
     def sigma_flips(self) -> list[Flip]:
@@ -285,12 +338,19 @@ def _neighbor_components(
     comps: list[frozenset[int]] = []
     firsts: list[frozenset[int]] = []
     for u in nbrs:
-        comp = big if u in big else next((p for p in firsts if u in p), None)
-        found = comp is None
-        if found:
-            comp = alternating_component(g, col, u, c)
+        if u in big:
+            comp = big
+        else:
+            for comp in firsts:
+                if u in comp:
+                    break
+            else:
+                comp = alternating_component(g, col, u, c)
+                comps.append(comp)
+                firsts.append(comp)
+                continue
         comps.append(comp)
-        firsts.append(comp if found else _EMPTY)
+        firsts.append(_EMPTY)
     return comps, firsts
 
 
@@ -439,9 +499,16 @@ def difference_sets(pair: NeighboringPair) -> dict[int, Entries]:
 
 
 def signature(pair: NeighboringPair, c: int) -> Signature:
-    """Block summary for color c; defined when delta_c > 0 or c is s or t."""
+    """Block summary for color c; defined when delta_c > 0 or c is s or t.
+    At the pair a walk's last move of D was drawn at, the block comes from
+    that move's table (_PRE) instead of a new search."""
     if not (0 <= c < pair.k):
         raise InputError(f"color {c} out of range")
+    if _PRE[0] == _pre_key(pair):
+        s, t = pair.s, pair.t
+        table = _PRE[1]
+        i = len(table) - 1 if c == s or c == t else _generic_index(c, s, t)
+        return table[i].block.signature(c)
     return _block(pair, c).signature(c)
 
 
@@ -619,18 +686,24 @@ def _closed_neighborhood(g: Graph, vertices: frozenset[int]) -> frozenset[int]:
 
 
 class _CachedBlock:
-    """One block as the walk keeps it between rebuilds: what it reads,
-    its moves with integer masses, their floats, and its sigma-side
-    draws (the distinct draws that select one of its sigma flips)."""
+    """One block as the walk keeps it between rebuilds: the block itself
+    (signature reads it through _PRE), what it reads, its moves with
+    integer masses, their floats and total, and its sigma-side draws (the
+    distinct draws that select one of its sigma flips)."""
 
-    __slots__ = ("reads", "colors", "moves", "floats", "total", "draws")
+    __slots__ = ("block", "reads", "colors", "moves", "floats", "total", "draws")
 
     def __init__(self, blk: Block, g: Graph, probs: FlipProbabilities, den: int):
+        self.block = blk
         self.reads = _closed_neighborhood(g, blk.visited())
         self.colors = blk.colors
         self.moves = blk.moves(probs)
-        self.floats = [num / den for _, _, num in self.moves]
-        self.total = sum(num for _, _, num in self.moves)
+        floats: list[float] = []
+        total = 0
+        for _, _, num in self.moves:
+            floats.append(num / den)
+            total += num
+        self.floats, self.total = floats, total
         self.draws = blk.draws()
 
     def stale_after(self, comp: frozenset[int], lo: int, hi: int) -> bool:
@@ -656,6 +729,19 @@ def _start_key(pair: NeighboringPair, probs: FlipProbabilities) -> tuple:
     return (pair.graph, pair.sigma, pair.tau, probs)
 
 
+# The table behind the last move of D a CoupledWalk drew: [key, blocks],
+# the _CachedBlocks in _block_keys order for the pair the move was drawn
+# at.  A replica classifies its pre-stop pair right after the walk's last
+# move, so signature finds that pair's blocks here instead of searching
+# again.  Compared by identity first, as _FLIPS and _START are.
+_PRE: list = [None, ()]
+
+
+def _pre_key(pair: NeighboringPair) -> tuple:
+    """What a pair's blocks depend on, compared by value."""
+    return (pair.graph, pair.sigma, pair.tau)
+
+
 class CoupledWalk:
     """Mutable coupled trajectory with an exact-per-step fast sampler.
 
@@ -678,7 +764,8 @@ class CoupledWalk:
     integers over L * n * k (L = probs.scale), so the table's floats are
     num / (L * n * k), bit-identical to float(mass), and the move a step
     returns carries num over L * n * k.  blocks_built and
-    blocks_reused count the blocks each rebuild built and kept.
+    blocks_reused count the blocks each rebuild built and kept.  Each
+    move of D leaves its table in _PRE for signature to read.
 
     CoupledWalk(pair, probs, rng) is lazy: it builds every block at its
     first rebuild.  CoupledWalk.from_start instead starts from the
@@ -828,6 +915,7 @@ class CoupledWalk:
         sf, tf, num = self._moves[i]
         move = CoupledMove(sf, tf, num, self._den, True)
         sig, tau = move.apply(self.pair)
+        _PRE[:] = [_pre_key(self.pair), self._cache]
         self._cache = None
         d = hamming(sig, tau)
         if d == 1:

@@ -327,10 +327,12 @@ def estimate_gamma_empirical(
 ) -> ExperimentReport:
     """Ratio of mean Bad-count to mean Good-count one step before the
     distance changes, with a delta-method confidence interval, compared
-    against the analytic gamma bound."""
+    against the analytic gamma bound.  The bound needs k > d + 2; below
+    that the call raises InputError before any replica runs."""
     pair = config.resolve_pair()
     probs = config.resolve_probs()
-    k, d = pair.k, pair.graph.degree(pair.v)
+    # the bound needs k > d + 2: fail before any replica runs
+    gamma, _ = gamma_bound(pair.k, pair.graph.degree(pair.v), probs.mass(2))
     done, capped = _replicas(config, pair, probs, _couple_replica, _COUPLE_HEADER, csv_path)
     report = ExperimentReport(kind="gamma", params=_params(config, pair),
                               counts={"exceeded_cap": capped, "completed": len(done)})
@@ -358,8 +360,6 @@ def estimate_gamma_empirical(
     report.metrics["bad_good_ratio"] = MetricSummary(
         ratio, se, ratio - Z95 * se, ratio + Z95 * se, m
     )
-    if k > d + 2:
-        gamma, _ = gamma_bound(k, d, probs.mass(2))
-        report.exact["gamma_bound"] = fraction_str(gamma)
-        report.checks["ratio_below_gamma_bound"] = ratio - Z95 * se <= float(gamma)
+    report.exact["gamma_bound"] = fraction_str(gamma)
+    report.checks["ratio_below_gamma_bound"] = ratio - Z95 * se <= float(gamma)
     return report

@@ -396,6 +396,41 @@ class TestSimCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--d", "99"], ["--k", "2"], ["--d", "99", "--k", "2"]])
+    @pytest.mark.parametrize("command", [["couple"], ["stages", "--color", "2"], ["gamma"]])
+    def test_pair_file_with_d_or_k_exits_2(self, command, flags, tmp_path, capsys,
+                                           monkeypatch):
+        # the pair file fixes d and k; a flag it would silently override fails
+        import flipdyn.experiments as experiments
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("replicas ran with --d or --k beside --pair")
+
+        monkeypatch.setattr(experiments, "_map_replicas", no_replicas)
+        path = str(tmp_path / "pair.txt")
+        run(["construct", "--index", "2", "--d", "3", "--k", "6", "--out", path], capsys)
+        code, out, err = run(["sim", *command, "--pair", path, "--replicas", "10", *flags],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "input error: --d and --k apply only with --construction\n"
+
+    @pytest.mark.parametrize("k", ["7", "8"])
+    def test_gamma_needs_k_above_d_plus_2(self, k, capsys, monkeypatch):
+        # gamma_bound needs k > d + 2, so no replica may run below it
+        import flipdyn.experiments as experiments
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("replicas ran for a gamma with no bound")
+
+        monkeypatch.setattr(experiments, "_map_replicas", no_replicas)
+        code, out, err = run(
+            ["sim", "gamma", "--construction", "1", "--d", "6", "--k", k,
+             "--replicas", "10", "--json"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"input error: need k > d + 2, got k={k}, d=6\n"
+
     def test_seed_outside_uint64_exits_2(self, capsys):
         for seed in ("-1", str(2**64)):
             code, _, err = run(

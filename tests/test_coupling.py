@@ -29,6 +29,7 @@ from flipdyn import (
     mixed_vector,
     signature,
     stage_walk,
+    state_counts,
     terminating_mass,
     variable_length_coupling,
     vigoda_vector,
@@ -41,8 +42,10 @@ from flipdyn.coupling import (
     difference_sets,
     is_terminating,
 )
+from flipdyn.experiments import _replica_rng
 from flipdyn.graphs import hamming
 
+import reference_blocks
 import reference_masses
 from conftest import neighboring_pairs
 
@@ -712,3 +715,152 @@ class TestExactBudgets:
         _inflate_first_block(monkeypatch, int(slack) + 1)
         with pytest.raises(InvariantError, match="exceed 1"):
             greedy_coupling_distribution(pair, probs)
+
+
+def walk_pairs(pair, probs, seeds, step_cap=300):
+    """pair and every pair the seeded walks from it pass through."""
+    out = [pair]
+    for seed in seeds:
+        walk = CoupledWalk(pair, probs, np.random.default_rng(seed))
+        while walk._final is None and walk.steps < step_cap:
+            if walk.step() is not None and walk._final is None:
+                out.append(walk.pair)
+    return out
+
+
+def block_mismatches(pair, probs):
+    """The colors whose block differs from the two-pass reference in
+    anything it reports: moves (order, flips and num), sigma flips, draws,
+    visited, entries and the signature of each color it holds (or the
+    error that raises), and, as the walk keeps it, reads, moves, floats,
+    total and draws."""
+    g = pair.graph
+    den = probs.scale * g.n * pair.k
+    differ = []
+    for c in coupling._block_keys(pair):
+        blk, ref = coupling._block(pair, c), reference_blocks.block(pair, c)
+        held = (pair.s, pair.t) if c == pair.s else (c,)
+        moves = ref.moves(probs)
+        vis = ref.visited()
+        cached = coupling._CachedBlock(blk, g, probs, den)
+        got = (blk.moves(probs), blk.sigma_flips(), blk.draws(), blk.visited(), blk.entries(),
+               [outcome(blk.signature, h) for h in held],
+               cached.reads, cached.moves, cached.floats, cached.total, cached.draws)
+        want = (moves, ref.sigma_flips(), ref.draws(), vis, ref.entries(),
+                [outcome(ref.signature, h) for h in held],
+                vis.union(*(g.adj[w] for w in vis)), moves, [num / den for *_, num in moves],
+                sum(num for *_, num in moves), ref.draws())
+        if got != want or cached.block is not blk:
+            differ.append(c)
+    return differ
+
+
+class TestOnePassBlocks:
+    """Every block, built in one pass, reports exactly what the two-pass
+    reference (tests/reference_blocks.py) reports."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(pair=bounded_degree_pairs(proper=True), vec=st.sampled_from(sorted(VECTORS)))
+    def test_proper_pairs(self, pair, vec):
+        assert block_mismatches(pair, VECTORS[vec]) == []
+
+    @settings(max_examples=300, derandomize=True)
+    @given(pair=bounded_degree_pairs(proper=False), vec=st.sampled_from(sorted(VECTORS)))
+    def test_improper_pairs(self, pair, vec):
+        assert block_mismatches(pair, VECTORS[vec]) == []
+
+    @pytest.mark.parametrize("index,d,k", CACHE_CONSTRUCTIONS)
+    def test_constructions_and_their_walks(self, index, d, k):
+        pair = build_construction(ConstructionSpec(index, d, k))
+        pairs = walk_pairs(pair, mixed_vector(), range(3))
+        assert len(pairs) >= 10
+        for p in pairs:
+            for vec in sorted(VECTORS):
+                assert block_mismatches(p, VECTORS[vec]) == [], vec
+
+
+class _TableRead(Exception):
+    """signature read an entry of the walk's last table."""
+
+
+class _Unread:
+    """A table entry whose block must not be read."""
+
+    @property
+    def block(self):
+        raise _TableRead
+
+
+def table_reads(pair):
+    """How many of pair's k signatures read the table in _PRE, once its
+    entries are made _Unread."""
+    reads = 0
+    for c in range(pair.k):
+        try:
+            signature(pair, c)
+        except _TableRead:
+            reads += 1
+        except InputError:
+            pass
+    return reads
+
+
+def pre_table_reads(seeds):
+    """Walk from constructions 1-4 at d=6, k=11 and make the table behind
+    each move of D unreadable as soon as the move is drawn.  Returns the
+    reads by the pair each table was built for (the pre-stop pair, k per
+    walk) and the reads by other pairs: the retargeted pre-stop pair (the
+    same graph and sigma, another tau) and the walk's pair after every
+    identity flip that follows a move of D."""
+    own = other = 0
+    for index in (1, 2, 3, 4):
+        pair = build_construction(ConstructionSpec(index, 6, 11))
+        for seed in seeds:
+            walk = CoupledWalk.from_start(pair, mixed_vector(), np.random.default_rng(seed))
+            after_d = False
+            while walk._final is None:
+                pre = walk.pair
+                move = walk.step()
+                if move is None:
+                    continue
+                if move.terminating:
+                    coupling._PRE[1] = [_Unread()] * len(coupling._PRE[1])
+                    after_d = True
+                elif after_d:
+                    other += table_reads(walk.pair)
+            own += table_reads(pre)
+            other += table_reads(retargeted(pre))
+    return own, other
+
+
+class TestPreStopTable:
+    """signature reads the table behind the walk's last move of D for the
+    pair that move left, and for no other pair."""
+
+    def test_pre_stop_counts_match_a_fresh_search(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_PRE", [None, ()])
+        probs = mixed_vector()
+        hits = n_bad = 0
+        for index in (1, 2, 3, 4):
+            pair = build_construction(ConstructionSpec(index, 6, 11))
+            for r in range(200):
+                rec = variable_length_coupling(pair, probs, _replica_rng(1000 + index, r))
+                pre = NeighboringPair(pair.graph, rec.pre_stop_sigma, rec.pre_stop_tau)
+                hits += coupling._PRE[0] == coupling._pre_key(pre)
+                counts = state_counts(pre)
+                coupling._PRE[:] = [None, ()]
+                assert counts == state_counts(pre), (index, r)
+                n_bad += counts.n_bad
+        assert hits == 800 and n_bad > 0
+
+    def test_only_the_pair_it_was_built_for_reads_it(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_PRE", [None, ()])
+        own, other = pre_table_reads(range(20))
+        assert (own, other) == (4 * 20 * 11, 0)
+
+    @pytest.mark.parametrize("key", [lambda pair: (pair.graph, pair.sigma),
+                                     lambda pair: (pair.graph,)], ids=["no-tau", "graph-only"])
+    def test_a_key_missing_tau_is_caught(self, key, monkeypatch):
+        monkeypatch.setattr(coupling, "_PRE", [None, ()])
+        monkeypatch.setattr(coupling, "_pre_key", key)
+        assert pre_table_reads(range(3))[1] > 0
