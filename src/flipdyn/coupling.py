@@ -51,12 +51,14 @@ CoupledMove.mass and the CouplingDistribution sums make one Fraction per
 value they return.  A generic block's moves read the scaled masses once
 and write each min split inline.  Three one-entry caches, each compared
 by identity first, skip repeated work: greedy_coupling_distribution
-keeps the sigma side's flip list for the last (graph, sigma) it saw
-(_FLIPS), since consecutive pairs of a sweep share sigma; every walk
-from an equal start copies one start table (_START); and the walk
-records the table behind each move of D with the pair it was drawn at
-(_PRE), so signature of that pair, which is a replica's pre-stop pair
-once the walk ends, reads the block from the table instead of searching.
+keeps the sigma side's identity moves, prebuilt as CoupledMoves, for the
+last (graph, sigma, probs) it saw (_FLIPS), since consecutive pairs of a
+sweep share sigma and the vector, and each pair only drops those whose
+flip is in D; every walk from an equal start copies one start table
+(_START); and the walk records the table behind each move of D with the
+pair it was drawn at (_PRE), so signature of that pair, which is a
+replica's pre-stop pair once the walk ends, reads the block from the
+table instead of searching.
 
 A block also knows what it reads: its colors (s, t and c for a generic
 block, s and t for the disagreement block) and N[visited()], the
@@ -200,7 +202,7 @@ class _GenericBlock:
         s, t, v = pair.s, pair.t, pair.v
         self.c, self.s, self.t = c, s, t
         self.colors = (s, t, c)
-        if c not in pair._delta:
+        if not pair._delta[c]:
             self.u = self.a_sets = self.b_sets = ()
             self.sv_sigma = self.sv_tau = frozenset((v,))
             self.i_max = self.j_max = None
@@ -295,11 +297,13 @@ class _GenericBlock:
         return out
 
     def sigma_flips(self) -> list[Flip]:
-        c, t = self.c, self.t
-        out = [_mk_flip(self.sv_sigma, self.s, c)]
+        s, t, c = self.s, self.t, self.c
+        s_lo, s_hi = (s, c) if s < c else (c, s)
+        t_lo, t_hi = (t, c) if t < c else (c, t)
+        out = [(self.sv_sigma, s_lo, s_hi)]
         for bset in self.b_sets:
             if bset:
-                out.append(_mk_flip(bset, c, t))
+                out.append((bset, t_lo, t_hi))
         return out
 
     def entries(self) -> dict[int, Entries]:
@@ -363,8 +367,15 @@ class _DisagreementBlock:
         s, t = pair.s, pair.t
         self.s, self.t, self.v = s, t, v
         self.colors = (s, t)
-        self.x = pair.neighbors_colored(s)
-        self.y = pair.neighbors_colored(t)
+        # the s- and t-colored neighbors of v, in vertex order
+        cols = sig.colors
+        self.x, self.y = x, y = [], []
+        for u in g.adj[v]:
+            cu = cols[u]
+            if cu == s:
+                x.append(u)
+            elif cu == t:
+                y.append(u)
         self.lam = alternating_component(g, sig, v, t)
         self.m = alternating_component(g, tau, v, s)
         # the sigma-side component of each s-colored neighbor and the
@@ -426,7 +437,8 @@ class _DisagreementBlock:
 
     def sigma_flips(self) -> list[Flip]:
         s, t = self.s, self.t
-        return [_mk_flip(self.lam, s, t)] + [_mk_flip(x, s, t) for x in self.x_sets]
+        lo, hi = (s, t) if s < t else (t, s)
+        return [(self.lam, lo, hi)] + [(comp, lo, hi) for comp in self.x_sets]
 
     def entries(self) -> dict[int, Entries]:
         s, t = self.s, self.t
@@ -533,20 +545,23 @@ class CouplingDistribution:
         """1 by construction: noop_num is den minus the moves' sum."""
         return Fraction(self.noop_num + sum(m.num for m in self.moves), self.den)
 
-    def _marginal(self, flips) -> dict[Flip, Fraction]:
-        """Sum (flip, num) pairs per flip; None is no flip on that side."""
+    def sigma_marginal(self) -> dict[Flip, Fraction]:
         nums: dict[Flip, int] = {}
-        for f, num in flips:
+        for m in self.moves:
+            f = m.sigma_flip
             if f is not None:
-                nums[f] = nums.get(f, 0) + num
+                nums[f] = nums.get(f, 0) + m.num
         den = self.den
         return {f: fraction_of(num, den) for f, num in nums.items()}
 
-    def sigma_marginal(self) -> dict[Flip, Fraction]:
-        return self._marginal((m.sigma_flip, m.num) for m in self.moves)
-
     def tau_marginal(self) -> dict[Flip, Fraction]:
-        return self._marginal((m.tau_flip, m.num) for m in self.moves)
+        nums: dict[Flip, int] = {}
+        for m in self.moves:
+            f = m.tau_flip
+            if f is not None:
+                nums[f] = nums.get(f, 0) + m.num
+        den = self.den
+        return {f: fraction_of(num, den) for f, num in nums.items()}
 
     def terminating_mass(self) -> Fraction:
         return Fraction(sum(m.num for m in self.moves if m.terminating), self.den)
@@ -555,13 +570,19 @@ class CouplingDistribution:
 def _difference_raw(
     pair: NeighboringPair, probs: FlipProbabilities
 ) -> tuple[list[RawMove], set[Flip]]:
-    """All non-identity moves as blocks emit them, plus the sigma-side
-    flip identities in D."""
+    """All non-identity moves as blocks emit them, in _blocks order, plus
+    the sigma-side flip identities in D."""
     moves: list[RawMove] = []
     sigma_labels: set[Flip] = set()
-    for blk in _blocks(pair):
-        moves.extend(blk.moves(probs))
-        sigma_labels.update(blk.sigma_flips())
+    s, t = pair.s, pair.t
+    for c in range(pair.k):
+        if c != s and c != t:
+            blk = _GenericBlock(pair, c)
+            moves += blk.moves(probs)
+            sigma_labels.update(blk.sigma_flips())
+    blk = _DisagreementBlock(pair)
+    moves += blk.moves(probs)
+    sigma_labels.update(blk.sigma_flips())
     return moves, sigma_labels
 
 
@@ -575,17 +596,32 @@ def _difference_moves(
     return [CoupledMove(sf, tf, num, den, True) for sf, tf, num in moves], sigma_labels
 
 
-# The sigma side's flips for the last (graph, sigma) that
-# greedy_coupling_distribution saw: [key, flips], the flips a tuple so no
-# caller can change them.  Consecutive pairs of a sweep share sigma.
+# The sigma side's identity moves for the last (graph, sigma, probs) that
+# greedy_coupling_distribution saw: [key, moves], one CoupledMove (f, f)
+# per flip f of sigma that probs performs, in enumerate_flips order.  The
+# moves are immutable, and every distribution of a pair with that key
+# shares them: it drops those whose flip is in D.  Consecutive pairs of a
+# sweep share sigma and the vector.
 # Not lru_cache(maxsize=1): it hashes graph and sigma on every call (0.7 us
 # at n=19), where this compare goes by identity first (0.07 us).
 _FLIPS: list = [None, ()]
 
 
-def _flips_key(pair: NeighboringPair) -> tuple:
-    """What the sigma side's flip list depends on, compared by value."""
-    return (pair.graph, pair.sigma)
+def _flips_key(pair: NeighboringPair, probs: FlipProbabilities) -> tuple:
+    """What the sigma side's identity moves depend on, compared by value."""
+    return (pair.graph, pair.sigma, probs)
+
+
+def _identity_moves(pair: NeighboringPair, probs: FlipProbabilities,
+                    den: int) -> tuple[CoupledMove, ...]:
+    """Each flip of sigma with nonzero mass as a non-terminating move
+    (f, f) over den, in enumerate_flips order."""
+    moves = []
+    for f in enumerate_flips(pair.graph, pair.sigma):
+        num = probs.mass_scaled(len(f[0]))
+        if num:
+            moves.append(CoupledMove(f, f, num, den, False))
+    return tuple(moves)
 
 
 def greedy_coupling_distribution(
@@ -599,18 +635,18 @@ def greedy_coupling_distribution(
     """
     den = probs.scale * pair.graph.n * pair.k
     raw, sigma_labels = _difference_raw(pair, probs)
-    used = sum(num for _, _, num in raw)
-    moves = [CoupledMove(sf, tf, num, den, True) for sf, tf, num in raw]
-    key = _flips_key(pair)
+    moves = []
+    used = 0
+    for sf, tf, num in raw:
+        used += num
+        moves.append(CoupledMove(sf, tf, num, den, True))
+    key = _flips_key(pair, probs)
     if _FLIPS[0] != key:
-        _FLIPS[:] = [key, tuple(enumerate_flips(pair.graph, pair.sigma))]
-    for f in _FLIPS[1]:
-        if f in sigma_labels:
-            continue
-        num = probs.mass_scaled(len(f[0]))
-        if num:
-            used += num
-            moves.append(CoupledMove(f, f, num, den, False))
+        _FLIPS[:] = [key, _identity_moves(pair, probs, den)]
+    for m in _FLIPS[1]:
+        if m.sigma_flip not in sigma_labels:
+            used += m.num
+            moves.append(m)
     # the total mass used / den, checked exactly in integers
     if used > den:
         raise InvariantError("coupled move masses exceed 1")

@@ -64,9 +64,11 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coloring:
-    """An assignment of colors 0..k-1 to vertices, proper or not."""
+    """An assignment of colors 0..k-1 to vertices, proper or not.
+
+    Slotted: an exhaustive sweep holds a coloring per pair it visits."""
 
     colors: tuple[int, ...]
     k: int
@@ -171,24 +173,41 @@ def enumerate_flips(g: Graph, col: Coloring) -> dict[tuple[frozenset[int], int, 
     """All distinct flips selectable by some (vertex, color) draw.
 
     Returns a map (component, lo_color, hi_color) -> multiplicity, where
-    multiplicity counts the (v, c) draws selecting that flip; it always
-    equals |component|, since every vertex of an alternating component,
-    drawn with the pair's other color, selects that same component, on
-    improper colorings too (the tests check this).  Draws with
+    multiplicity counts the (v, c) draws selecting that flip, keyed in the
+    order of the first draw selecting each.  Each component is searched
+    once: every vertex of an alternating component, drawn with the pair's
+    other color, selects that same component, on improper colorings too
+    (the tests check this), so a draw from a vertex inside a component
+    already found for its color pair reuses that key and adds one to its
+    count, and the multiplicity comes out as |component|.  Draws with
     c == col(v) select the empty set and do not appear.  The total
     multiplicity over all flips is n*(k-1), so together with the n
     same-color draws every one of the n*k draws is accounted for.
     """
-    out: dict[tuple[frozenset[int], int, int], int] = {}
+    cols, k = col.colors, col.k
+    keys: list[tuple[frozenset[int], int, int]] = []
+    counts: list[int] = []
+    # found[w * k + c]: the index in keys of the flip the draw (w, c)
+    # selects, once a search has reached w for w's pair with c
+    found: list[Optional[int]] = [None] * (g.n * k)
     for v in range(g.n):
-        base = col.colors[v]
-        for c in range(col.k):
+        base = cols[v]
+        for c in range(k):
             if c == base:
                 continue
+            i = found[v * k + c]
+            if i is not None:
+                counts[i] += 1
+                continue
             comp = alternating_component(g, col, v, c)
-            key = (comp, min(base, c), max(base, c))
-            out[key] = out.get(key, 0) + 1
-    return out
+            lo, hi = (base, c) if base < c else (c, base)
+            i = len(keys)
+            keys.append((comp, lo, hi))
+            counts.append(1)
+            for w in comp:
+                # w carries lo or hi; it selects comp with the other one
+                found[w * k + lo + hi - cols[w]] = i
+    return dict(zip(keys, counts))
 
 
 class NeighboringPair:
@@ -197,7 +216,8 @@ class NeighboringPair:
     Neither coloring has to be proper.  sigma and tau denote the two
     colorings, v the disagreement vertex, s = sigma(v), t = tau(v).
     delta(c) counts neighbors of v colored c (the count is the same in
-    both colorings since they agree off v).
+    both colorings since they agree off v); the pair holds these counts as
+    one tuple indexed by color.
     """
 
     __slots__ = ("graph", "sigma", "tau", "v", "s", "t", "_delta")
@@ -218,13 +238,12 @@ class NeighboringPair:
         self.t = tau.colors[self.v]
         self._delta = self._neighbor_counts()
 
-    def _neighbor_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
+    def _neighbor_counts(self) -> tuple[int, ...]:
+        counts = [0] * self.sigma.k
         cols = self.sigma.colors
         for u in self.graph.adj[self.v]:
-            cu = cols[u]
-            counts[cu] = counts.get(cu, 0) + 1
-        return counts
+            counts[cols[u]] += 1
+        return tuple(counts)
 
     def _flipped_off_v(self, sigma: Coloring, tau: Coloring,
                        comp: frozenset[int]) -> "NeighboringPair":
@@ -252,7 +271,7 @@ class NeighboringPair:
         """Number of neighbors of the disagreement vertex colored c."""
         if not (0 <= c < self.k):
             raise InputError(f"color {c} out of range")
-        return self._delta.get(c, 0)
+        return self._delta[c]
 
     def neighbors_colored(self, c: int) -> tuple[int, ...]:
         """Neighbors of v colored c, in increasing vertex order."""

@@ -47,7 +47,7 @@ from flipdyn.graphs import hamming
 
 import reference_blocks
 import reference_masses
-from conftest import neighboring_pairs
+from conftest import neighboring_pairs, nonisomorphic_graphs
 
 F = Fraction
 
@@ -99,6 +99,36 @@ class TestMarginals:
                 assert flips_only(dist.tau_marginal()) == flips_only(
                     flip_step_distribution(g, pair.tau, probs)
                 )
+
+
+def test_marginals_exhaustive_n5(paper_vectors):
+    # Criterion 6 past its n <= 4 corpus: on every isomorphism class of
+    # graphs with 5 vertices, every unordered neighboring pair with k = 2
+    # or 3, and both published vectors, each marginal of the coupled
+    # one-step distribution equals the single-chain law exactly, and every
+    # move's terminating flag matches is_terminating.  No color or vertex
+    # permutation is quotiented out: the coupling breaks ties by lowest
+    # index, so it is not known to be equivariant.
+    graphs = nonisomorphic_graphs(5)
+    assert len(graphs) == 34
+    checked = 0
+    for g in graphs:
+        for k in (2, 3):
+            pairs = list(neighboring_pairs(g, k, ordered=False))
+            for probs in paper_vectors.values():
+                single: dict[tuple, dict] = {}
+                for pair in pairs:
+                    coupled = greedy_coupling_distribution(pair, probs)
+                    assert coupled.total_mass() == 1
+                    assert all(m.terminating == is_terminating(pair, m) for m in coupled.moves)
+                    for side in (pair.sigma, pair.tau):
+                        if side.colors not in single:
+                            single[side.colors] = flips_only(
+                                flip_step_distribution(g, side, probs))
+                    assert flips_only(coupled.sigma_marginal()) == single[pair.sigma.colors]
+                    assert flips_only(coupled.tau_marginal()) == single[pair.tau.colors]
+                    checked += 1
+    assert checked == 88060
 
 
 class TestSignature:
@@ -443,16 +473,12 @@ class TestIntegerMasses:
                     assert mass == probs.mass(len(key[0])) / (pair.graph.n * pair.k)
 
 
-def flip_cache_mismatches(probs):
-    """Run greedy_coupling_distribution on pairs whose sigma colors are
-    equal but whose graph or k differ, one after another, and count those
-    whose sigma marginal is not the single-chain law."""
-    sigma = (0, 1, 0)
-    pairs = [NeighboringPair(g, Coloring(sigma, k), Coloring(sigma, k).recolor({1: 2}))
-             for g, k in ((Graph(3, [(0, 1), (1, 2)]), 3), (Graph(3, [(0, 1)]), 3),
-                          (Graph(3, [(0, 1), (1, 2)]), 4))]
+def flip_cache_mismatches(runs):
+    """Run greedy_coupling_distribution on each (pair, probs) of runs in
+    turn and count the runs whose sigma marginal is not the single-chain
+    law."""
     bad = 0
-    for pair in pairs:
+    for pair, probs in runs:
         try:
             dist = greedy_coupling_distribution(pair, probs)
         except InvariantError:
@@ -463,17 +489,44 @@ def flip_cache_mismatches(probs):
     return bad
 
 
+def equal_colors_runs(probs):
+    """Pairs whose sigma colors are equal but whose graph or k differ."""
+    sigma = (0, 1, 0)
+    return [(NeighboringPair(g, Coloring(sigma, k), Coloring(sigma, k).recolor({1: 2})), probs)
+            for g, k in ((Graph(3, [(0, 1), (1, 2)]), 3), (Graph(3, [(0, 1)]), 3),
+                         (Graph(3, [(0, 1), (1, 2)]), 4))]
+
+
+def two_vector_runs():
+    """One pair under vigoda and then alt.  Its isolated vertex 3 gives
+    sigma flips outside D, so the pair has identity moves; every sigma
+    flip of the equal_colors_runs pairs is in D."""
+    sigma = Coloring((0, 1, 0, 2), 3)
+    pair = NeighboringPair(Graph(4, [(0, 1), (1, 2)]), sigma, sigma.recolor({1: 2}))
+    return [(pair, vigoda_vector()), (pair, alt_vector())]
+
+
 class TestSigmaFlipCache:
-    """The one-entry sigma flip list is keyed by value on (graph, sigma)."""
+    """The one-entry cache of identity moves is keyed by value on
+    (graph, sigma, probs)."""
 
     def test_equal_colors_on_other_graphs_get_their_own_flips(self, monkeypatch):
         monkeypatch.setattr(coupling, "_FLIPS", [None, ()])
-        assert flip_cache_mismatches(vigoda_vector()) == 0
+        assert flip_cache_mismatches(equal_colors_runs(vigoda_vector())) == 0
 
     def test_a_key_on_colors_alone_is_caught(self, monkeypatch):
-        monkeypatch.setattr(coupling, "_flips_key", lambda pair: pair.sigma.colors)
+        monkeypatch.setattr(coupling, "_flips_key", lambda pair, probs: pair.sigma.colors)
         monkeypatch.setattr(coupling, "_FLIPS", [None, ()])
-        assert flip_cache_mismatches(vigoda_vector()) > 0
+        assert flip_cache_mismatches(equal_colors_runs(vigoda_vector())) > 0
+
+    def test_another_vector_gets_its_own_moves(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_FLIPS", [None, ()])
+        assert flip_cache_mismatches(two_vector_runs()) == 0
+
+    def test_a_key_without_the_vector_is_caught(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_flips_key", lambda pair, probs: (pair.graph, pair.sigma))
+        monkeypatch.setattr(coupling, "_FLIPS", [None, ()])
+        assert flip_cache_mismatches(two_vector_runs()) > 0
 
 
 def assert_pair_is_fresh(pair):

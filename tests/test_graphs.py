@@ -149,6 +149,37 @@ class TestFlip:
             flip(col, comp, base, bad)
 
 
+def draw_counts(g, col):
+    """The oracle for enumerate_flips: every one of the n(k-1) off-color
+    draws searched on its own and counted toward the flip it selects,
+    keyed in the order of the first draw selecting each."""
+    out = {}
+    for v in range(g.n):
+        base = col[v]
+        for c in range(col.k):
+            if c != base:
+                key = (alternating_component(g, col, v, c), min(base, c), max(base, c))
+                out[key] = out.get(key, 0) + 1
+    return out
+
+
+def random_graph_coloring(data, proper):
+    """A graph on 1..8 vertices and a coloring with 2..5 colors, drawn from
+    data; with proper=True, the edges the coloring makes monochromatic are
+    dropped."""
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(2, 5))
+    col = Coloring(tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                            max_size=n))), k)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if proper:
+        edges = [(u, w) for u, w in edges if col[u] != col[w]]
+    g = Graph(n, edges)
+    assert is_proper(g, col) or not proper
+    return g, col
+
+
 class TestEnumerateFlips:
     def test_multiplicity_equals_size(self):
         g = path(3)
@@ -170,27 +201,26 @@ class TestEnumerateFlips:
     @settings(max_examples=300)
     @given(data=st.data(), proper=st.booleans())
     def test_every_vertex_of_a_component_selects_it(self, data, proper):
-        # The oracle for enumerate_flips's multiplicities, on proper and
-        # improper colorings: each w in a flip's component, drawn with its
-        # other color, selects that same component, so the multiplicity is
-        # |comp| and the flips account for all n(k-1) off-color draws.
-        n = data.draw(st.integers(1, 8))
-        k = data.draw(st.integers(2, 5))
-        col = Coloring(tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
-                                                max_size=n))), k)
-        pairs = list(itertools.combinations(range(n), 2))
-        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-        if proper:
-            edges = [(u, w) for u, w in edges if col[u] != col[w]]
-        g = Graph(n, edges)
-        assert is_proper(g, col) or not proper
+        # What lets enumerate_flips search each component once, on proper
+        # and improper colorings: each w in a flip's component, drawn with
+        # its other color, selects that same component, so the flips
+        # account for all n(k-1) off-color draws.
+        g, col = random_graph_coloring(data, proper)
         flips = enumerate_flips(g, col)
-        assert sum(flips.values()) == n * (k - 1)
+        assert sum(flips.values()) == g.n * (col.k - 1)
         for (comp, lo, hi), mult in flips.items():
             assert mult == len(comp)
             for w in comp:
                 other = hi if col[w] == lo else lo
                 assert alternating_component(g, col, w, other) == comp
+
+    @settings(max_examples=300)
+    @given(data=st.data(), proper=st.booleans())
+    def test_equals_a_count_of_every_draw(self, data, proper):
+        # The whole map, key order included, against the oracle that
+        # searches every draw.
+        g, col = random_graph_coloring(data, proper)
+        assert list(enumerate_flips(g, col).items()) == list(draw_counts(g, col).items())
 
 
 class TestNeighboringPair:
