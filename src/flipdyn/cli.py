@@ -50,23 +50,37 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise InputError(f"{flag} must be a rational or decimal string: {exc}")
 
 
+# The program flags each kind reads, with their defaults; a flag given
+# for a kind that does not read it is an input error.
+_LP_DEFAULTS = {"nmax": 7, "mstar": 3, "gamma": "25.597784", "cap3": False}
+_LP_KIND_FLAGS = {
+    "vigoda": ("nmax", "mstar"),
+    "tight": (),
+    "mixed": ("nmax", "mstar", "gamma", "cap3"),
+}
+
+
 def _build_lp_from_args(args) -> lp_mod.LPInstance:
     kind = args.kind
+    for flag in _LP_DEFAULTS:
+        if getattr(args, flag) is not None and flag not in _LP_KIND_FLAGS[kind]:
+            raise InputError(f"--{flag} does not apply to --kind {kind}")
+    opts = {flag: default if getattr(args, flag) is None else getattr(args, flag)
+            for flag, default in _LP_DEFAULTS.items()}
     if kind == "vigoda":
-        return lp_mod.build_vigoda_lp(args.nmax, args.mstar)
+        return lp_mod.build_vigoda_lp(opts["nmax"], opts["mstar"])
     if kind == "tight":
         return lp_mod.build_tight_lp()
-    return lp_mod.build_mixed_lp(
-        args.nmax, args.mstar, _parse_fraction(args.gamma, "--gamma"), cap3=args.cap3
-    )
+    return lp_mod.build_mixed_lp(opts["nmax"], opts["mstar"],
+                                 _parse_fraction(opts["gamma"], "--gamma"), cap3=opts["cap3"])
 
 
 def _add_lp_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=["vigoda", "tight", "mixed"])
-    p.add_argument("--nmax", type=int, default=7)
-    p.add_argument("--mstar", type=int, default=3)
-    p.add_argument("--gamma", default="25.597784", help="rational or decimal string")
-    p.add_argument("--cap3", action="store_true")
+    p.add_argument("--nmax", type=int, help="vigoda, mixed (default 7)")
+    p.add_argument("--mstar", type=int, help="vigoda, mixed (default 3)")
+    p.add_argument("--gamma", help="mixed: rational or decimal string (default 25.597784)")
+    p.add_argument("--cap3", action="store_true", default=None, help="mixed")
 
 
 def _cmd_lp_build(args) -> int:

@@ -62,6 +62,7 @@ import itertools
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -621,11 +622,43 @@ def solve(lp: LPInstance) -> LPSolution:
     raise InvariantError("constraint generation did not converge")
 
 
+class _Slacks(Mapping):
+    """Exact slack per label, built on first read: the structural slacks,
+    then each family's tuples in enumeration order, labelled by label_for,
+    as Fraction(s, L) from its integer slacks."""
+
+    def __init__(self, structural: dict[str, Fraction],
+                 families: list[tuple[HFamily, int, np.ndarray]]):
+        self._structural = structural
+        self._families = families
+
+    @functools.cached_property
+    def _dict(self) -> dict[str, Fraction]:
+        slacks = dict(self._structural)
+        for fam, L, scaled in self._families:
+            for t, s in zip(fam.tuples(), scaled.tolist()):
+                slacks[fam.label_for(*t)] = Fraction(s, L)
+        return slacks
+
+    def __getitem__(self, label: str) -> Fraction:
+        return self._dict[label]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._dict)
+
+
 @dataclass(frozen=True)
 class SlackReport:
-    """Exact slacks per label; family labels are at tuple granularity."""
+    """Exact slacks per label; family labels are at tuple granularity.
 
-    slacks: dict[str, Fraction]
+    slacks is read-only and built on first read; tight and violated are
+    computed up front.
+    """
+
+    slacks: Mapping[str, Fraction]
     tight: tuple[str, ...]
     violated: tuple[str, ...]
 
@@ -640,14 +673,16 @@ def slack_report(lp: LPInstance, assignment: dict[str, Fraction]) -> SlackReport
     Structural constraints report their own slack.  Family constraints
     are reported per tuple: the slack is rhs minus the exact block cost
     h_value, i.e. the minimum over the tuple's branches, taken from the
-    family's integer slacks over L.
+    family's integer slacks over L.  Only the tuples with slack <= 0 are
+    labelled up front, for tight and violated; the per-tuple slacks are
+    labelled when the report's slacks are first read.
     """
-    slacks: dict[str, Fraction] = {}
+    structural: dict[str, Fraction] = {}
     tight: list[str] = []
     violated: list[str] = []
     for c in lp.constraints:
         s = c.slack(assignment)
-        slacks[c.label] = s
+        structural[c.label] = s
         if c.rel == "==":
             if s != 0:
                 violated.append(c.label)
@@ -658,16 +693,15 @@ def slack_report(lp: LPInstance, assignment: dict[str, Fraction]) -> SlackReport
                 violated.append(c.label)
             elif s == 0:
                 tight.append(c.label)
+    families = []
     for fam in lp.families:
         L, scaled = fam.scaled_slacks(assignment)
-        for t, s in zip(fam.tuples(), scaled.tolist()):
-            label = fam.label_for(*t)
-            slacks[label] = Fraction(s, L)
-            if s < 0:
-                violated.append(label)
-            elif s == 0:
-                tight.append(label)
-    return SlackReport(slacks=slacks, tight=tuple(sorted(tight)), violated=tuple(sorted(violated)))
+        families.append((fam, L, scaled))
+        hits = np.flatnonzero(scaled <= 0)
+        for k, s in zip(hits.tolist(), scaled[hits].tolist()):
+            (violated if s < 0 else tight).append(fam.label_for(*fam.table.tuple_at(k)))
+    return SlackReport(slacks=_Slacks(structural, families),
+                       tight=tuple(sorted(tight)), violated=tuple(sorted(violated)))
 
 
 def extend_assignment(

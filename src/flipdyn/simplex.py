@@ -17,21 +17,26 @@ the nonbasic column at each position; a pivot swaps the entering column
 id for the leaving one at that position.  All entries are integer
 numerators over the row's denominator, and after every update a row is
 divided by the gcd of its entries and its denominator, so each row is the
-unique reduced form of its rational row.  The reduced-cost row is the
-last row and has the same form.  It is built once per phase from the
-cost vector and the basis, then updated with the pivot row on every pivot
-like any other row: each row with a nonzero entry in the pivot column
-becomes row * s - t * prow in one vectorized step.
+unique reduced form of its rational row.  That gcd divides gcd(rhs, den),
+which is computed for every updated row at once, and only the rows where
+it is not 1 take the full gcd.  The reduced-cost row is the last row and
+has the same form.  It is built once per phase from the cost vector and
+the basis, then updated with the pivot row on every pivot like any other
+row: each row with a nonzero entry in the pivot column becomes
+row * s - t * prow in one vectorized step.
 
 The tableau is int64 while that is exact.  Before each update a float64
 bound max(|row|, den) * s + |t| * max(|prow|, pden) is compared with
 _INT64_BOUND (2**61, a margin of 4 below int64's range, which float
 rounding cannot cross); if any updated row could reach it, the tableau
 turns into dtype=object (Python ints) in place and the same update runs
-on it.  A program whose input already reaches the bound starts in Python
-ints.  The ratio test cross-multiplies Python ints.  Fractions appear
-only when reading the input and in the returned assignment, so the
-optimum is exact.
+on it.  One bound over the whole block, max|block| * max s + max|t| *
+max|prow|, is computed first; it is never below the per-row bound, so
+only when it reaches _INT64_BOUND does the per-row bound run, and the
+tableau turns at the same pivots either way.  A program whose input
+already reaches the bound starts in Python ints.  The ratio test
+cross-multiplies Python ints.  Fractions appear only when reading the
+input and in the returned assignment, so the optimum is exact.
 
 Bland's rule picks both the entering column (the lowest index with a
 negative reduced cost) and the leaving row (the minimum ratio, ties to
@@ -91,6 +96,22 @@ def _integer_row(values: dict[int, Fraction | int]) -> tuple[dict[int, int], int
     return {j: v.numerator * (den // v.denominator) for j, v in values.items() if v}, den
 
 
+def _may_overflow(block: np.ndarray, s: np.ndarray, t: np.ndarray, prow: np.ndarray) -> bool:
+    """Whether some row of block * s - t * prow could reach _INT64_BOUND.
+
+    The per-row float bound max|row| * s + |t| * max|prow| decides.  One
+    pass over the whole block bounds every row's term from above (float
+    rounding is monotone), so the per-row bound runs only when that
+    cheaper one reaches _INT64_BOUND.
+    """
+    top = float(max(prow.max(), -prow.min()))
+    if (float(max(block.max(), -block.min())) * float(s.max())
+            + float(max(t.max(), -t.min())) * top) < _INT64_BOUND:
+        return False
+    return (np.maximum(block.max(axis=1), -block.min(axis=1)) * s.astype(float)
+            + np.abs(t) * top).max() >= _INT64_BOUND
+
+
 def _pivot(tab: _Tableau, cols: np.ndarray, basis: list[int], r: int, e: int) -> None:
     """Make column e basic in row r and eliminate it from every other row,
     the reduced-cost row (the last one) included."""
@@ -109,20 +130,22 @@ def _pivot(tab: _Tableau, cols: np.ndarray, basis: list[int], r: int, e: int) ->
         c = block[:, q]
         g = np.gcd(c, pden)
         s, t = pden // g, c // g
-        if a.dtype != object and (
-            np.maximum(block.max(axis=1), -block.min(axis=1)) * s.astype(float)
-            + np.abs(t) * float(max(prow.max(), -prow.min()))
-        ).max() >= _INT64_BOUND:
+        if a.dtype != object and _may_overflow(block, s, t, prow):
             tab.a = a = a.astype(object)
             block, prow, s, t = (x.astype(object) for x in (block, prow, s, t))
         block[:, q] = 0
         if (s != 1).any():
             block *= s[:, None]
         block[:, :-1] -= t[:, None] * prow[:-1]
-        g = np.gcd.reduce(block, axis=1)
-        big = np.flatnonzero(g != 1)
-        if big.size:
-            block[big] //= g[big, None]
+        # a row's gcd divides gcd(rhs, den), so only rows where that is not
+        # 1 can need dividing
+        rest = np.flatnonzero(np.gcd(block[:, -2], block[:, -1]) != 1)
+        if rest.size:
+            g = np.gcd.reduce(block[rest], axis=1)
+            big = g != 1
+            if big.any():
+                rest, g = rest[big], g[big]
+                block[rest] //= g[:, None]
         a[rows] = block
     cols[q] = basis[r]
     basis[r] = e

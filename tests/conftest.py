@@ -113,6 +113,28 @@ def pivot_dtypes(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def reduced_rows(monkeypatch):
+    """Check after every simplex pivot that each tableau row, the reduced
+    costs included, is in lowest terms: gcd(entries, den) = 1.  Returns a
+    list that gains the tableau's dtype after every pivot it checked."""
+    import numpy as np
+
+    import flipdyn.simplex as simplex
+
+    checked: list[object] = []
+    pivot = simplex._pivot
+
+    def checked_pivot(tab, cols, basis, r, e):
+        pivot(tab, cols, basis, r, e)
+        unreduced = np.flatnonzero(np.gcd.reduce(tab.a, axis=1) != 1)
+        assert not unreduced.size, f"rows {unreduced.tolist()} not in lowest terms"
+        checked.append(tab.a.dtype)
+
+    monkeypatch.setattr(simplex, "_pivot", checked_pivot)
+    return checked
+
+
 @pytest.fixture(scope="session")
 def paper_vectors():
     return {"vigoda": vigoda_vector(), "alt": alt_vector()}

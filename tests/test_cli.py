@@ -129,6 +129,54 @@ class TestLpCommands:
         assert "input error" in err
         assert F("25.597784") == F(25597784, 10**6)
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("tight", ["--nmax", "3"]),
+        ("tight", ["--mstar", "2"]),
+        ("tight", ["--gamma", "20"]),
+        ("tight", ["--cap3"]),
+        ("vigoda", ["--gamma", "20"]),
+        ("vigoda", ["--cap3"]),
+    ])
+    @pytest.mark.parametrize("command", ["build", "solve", "slack"])
+    def test_flag_the_kind_does_not_read_exits_2(self, command, kind, flags, tmp_path,
+                                                 capsys, monkeypatch):
+        # a flag the chosen program would silently ignore fails before any build
+        def no_build(*args, **kwargs):
+            raise AssertionError(f"a program was built despite {flags[0]}")
+
+        for builder in ("build_vigoda_lp", "build_tight_lp", "build_mixed_lp"):
+            monkeypatch.setattr(lp_mod, builder, no_build)
+        extra = {"build": ["--out", str(tmp_path / "prog.lp")], "solve": [],
+                 "slack": ["--vector", "alt", "--lam", "11/6"]}[command]
+        code, out, err = run(["lp", command, "--kind", kind, *flags, *extra], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"input error: {flags[0]} does not apply to --kind {kind}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, call", [
+        (["--kind", "tight"], ("build_tight_lp",)),
+        (["--kind", "vigoda"], ("build_vigoda_lp", 7, 3)),
+        (["--kind", "vigoda", "--nmax", "5", "--mstar", "2"], ("build_vigoda_lp", 5, 2)),
+        (["--kind", "mixed"], ("build_mixed_lp", 7, 3, F("25.597784"), False)),
+        (["--kind", "mixed", "--nmax", "6", "--mstar", "4", "--gamma", "20", "--cap3"],
+         ("build_mixed_lp", 6, 4, F(20), True)),
+    ])
+    def test_program_flags_resolve_per_kind(self, argv, call, capsys, monkeypatch):
+        # each builder records its arguments and builds the small tight program
+        calls, tight = [], lp_mod.build_tight_lp
+
+        def recorder(name):
+            def build(*args, cap3=None):
+                calls.append((name, *args) + (() if cap3 is None else (cap3,)))
+                return tight()
+            return build
+
+        for name in ("build_vigoda_lp", "build_tight_lp", "build_mixed_lp"):
+            monkeypatch.setattr(lp_mod, name, recorder(name))
+        code, out, _ = run(["lp", "solve", *argv], capsys)
+        assert code == 0 and "objective = 11/6" in out
+        assert calls == [call]
+
 
 class TestConstructAndChecks:
     def test_construct_then_marginals(self, tmp_path, capsys):

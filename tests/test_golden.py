@@ -31,6 +31,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import neighboring_pairs, nonisomorphic_graphs, simplex_calls
@@ -321,6 +322,31 @@ def test_slack_report(name):
     assert slack_record(report) == expected
 
 
+@pytest.mark.parametrize("name", sorted(SLACK_CASES))
+def test_slack_report_labels_on_demand(name, monkeypatch):
+    # tight and violated label only the tuples with slack <= 0; the other
+    # tuples are labelled when slacks is first read, in the order the
+    # golden pins
+    build, vector, lam = SLACK_CASES[name]
+    inst = build()
+    assignment = extend_assignment(inst, VECTORS[vector], lam)
+    labelled = []
+    for i, fam in enumerate(inst.families):
+        def counted(*t, i=i, label_for=fam.label_for):
+            labelled.append((i, t))
+            return label_for(*t)
+
+        monkeypatch.setattr(fam, "label_for", counted)
+    report = slack_report(inst, assignment)
+    assert labelled == [
+        (i, fam.table.tuple_at(k)) for i, fam in enumerate(inst.families)
+        for k in np.flatnonzero(fam.scaled_slacks(assignment)[1] <= 0).tolist()]
+    labelled.clear()
+    expected = json.loads((GOLDEN / "slack.json").read_text())["cases"][name]
+    assert slack_record(report) == expected
+    assert len(labelled) == sum(len(fam.table.A) for fam in inst.families)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(SIM_RUNS))
 def test_sim_output(name, workers, tmp_path, capsys):
@@ -336,6 +362,14 @@ def test_demo_stdout(name):
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "demos" / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLEX_PROGRAMS))
+def test_simplex_rows_stay_reduced(name, reduced_rows):
+    # a pivot runs the full gcd only on rows whose gcd(rhs, den) is not 1;
+    # every row must still end each pivot in lowest terms
+    solve(SIMPLEX_PROGRAMS[name]())
+    assert np.dtype(np.int64) in reduced_rows
 
 
 @pytest.mark.parametrize("name", sorted(SIMPLEX_PROGRAMS))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import collections
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ import flipdyn.lp as lp_mod
 import reference_simplex
 from conftest import simplex_calls
 from flipdyn import InputError, build_tight_lp, build_vigoda_lp, solve
+import flipdyn.simplex as simplex
 from flipdyn.simplex import solve_simplex
 
 F = Fraction
@@ -135,6 +137,64 @@ def test_matches_reference_on_large_coefficients(pivot_dtypes):
     check()
     for path in ("int64", "switched", "python ints"):
         assert seen[path] >= 10, seen
+
+
+def test_rows_stay_reduced(reduced_rows):
+    # the fixture checks every row after every pivot, int64 or Python ints
+    @settings(max_examples=300)
+    @given(prog=st.one_of(small_programs(), scaled_programs()))
+    def check(prog):
+        solve_simplex(*prog)
+
+    check()
+    assert {np.dtype(np.int64), np.dtype(object)} <= set(reduced_rows)
+
+
+def one_pass_bound(block, s, t, prow) -> bool:
+    top = float(max(prow.max(), -prow.min()))
+    return (float(max(block.max(), -block.min())) * float(s.max())
+            + float(max(t.max(), -t.min())) * top) >= simplex._INT64_BOUND
+
+
+def per_row_bound(block, s, t, prow) -> bool:
+    """The overflow rule the one-pass bound must not change: does some
+    updated row's own float bound reach _INT64_BOUND?"""
+    top = float(max(prow.max(), -prow.min()))
+    return bool((np.maximum(block.max(axis=1), -block.min(axis=1)) * s.astype(float)
+                 + np.abs(t) * top).max() >= simplex._INT64_BOUND)
+
+
+@pytest.mark.parametrize("rhs, tiers, dtypes", [
+    # x enters on the row x >= 1, written with coefficient 2**40, so the
+    # pivot multiplies the row -3x <= rhs by s = 2**40.  With rhs 1 that
+    # row's update stays near 2**42 and the cost row's near 2**41, while
+    # the one-pass bound pairs the cost row's 2**40 with that s.
+    (1, [(True, False), (False, False)], [(np.int64, np.int64)] * 2),
+    # rhs 2**30 takes the row's own update to 2**70
+    (2**30, [(True, True)], [(np.int64, object), (object, object)]),
+], ids=["one-pass-only", "both"])
+def test_overflow_guard_tiers(rhs, tiers, dtypes, pivot_dtypes, monkeypatch):
+    program = (["x", "y"],
+               [({"x": F(-3)}, "<=", F(rhs)), ({"x": F(-2**40)}, "<=", F(-2**40)),
+                ({"x": F(1), "y": F(1)}, "<=", F(3))],
+               {"x": F(1), "y": F(-1)})
+    guard, seen = simplex._may_overflow, []
+
+    def spied(*args):
+        seen.append((one_pass_bound(*args), per_row_bound(*args)))
+        return guard(*args)
+
+    monkeypatch.setattr(simplex, "_may_overflow", spied)
+    got = solve_simplex(*program)
+    assert (got.status, got.assignment) == ("optimal", {"x": 1, "y": 2})
+    assert seen == tiers
+    assert pivot_dtypes == [tuple(map(np.dtype, d)) for d in dtypes]
+    # the per-row rule alone switches at the same pivots
+    by_rule = list(pivot_dtypes)
+    pivot_dtypes.clear()
+    monkeypatch.setattr(simplex, "_may_overflow", per_row_bound)
+    assert solve_simplex(*program) == got
+    assert pivot_dtypes == by_rule
 
 
 @pytest.mark.parametrize("build", [build_tight_lp, lambda: build_vigoda_lp(6, 2)],
