@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .coupling import (
     CoupledMove,
@@ -50,8 +50,10 @@ class StateLabel(enum.Enum):
     ABSENT = "absent"
 
 
-def classify_color(pair: NeighboringPair, c: int) -> StateLabel:
-    """State of color c for the given neighboring pair."""
+def classify_color(pair: NeighboringPair, c: int,
+                   blocks: Optional[Sequence] = None) -> StateLabel:
+    """State of color c for the given neighboring pair; blocks, when
+    given, is a walk's table at pair, read as signature reads it."""
     if not (0 <= c < pair.k):
         raise InputError(f"color {c} out of range")
     if c == pair.s or c == pair.t:
@@ -62,7 +64,7 @@ def classify_color(pair: NeighboringPair, c: int) -> StateLabel:
     if delta == 1:
         return StateLabel.SING
     if delta == 2:
-        sig = signature(pair, c)
+        sig = signature(pair, c, blocks)
         if (sig.A, sig.B, sig.a, sig.b) in BAD_SIGNATURES:
             return StateLabel.BAD
     return StateLabel.GOOD
@@ -76,9 +78,10 @@ class StateCounts:
     n_absent: int
 
 
-def state_counts(pair: NeighboringPair) -> StateCounts:
-    """Count colors in each state; the two disagreement colors are Good."""
-    labels = [classify_color(pair, c) for c in range(pair.k)]
+def state_counts(pair: NeighboringPair, blocks: Optional[Sequence] = None) -> StateCounts:
+    """Count colors in each state, reading blocks as classify_color does;
+    the two disagreement colors are Good."""
+    labels = [classify_color(pair, c, blocks) for c in range(pair.k)]
     return StateCounts(
         n_sing=labels.count(StateLabel.SING),
         n_bad=labels.count(StateLabel.BAD),
@@ -132,14 +135,19 @@ def stage_walk(
     rng,
     step_cap: Optional[int] = None,
 ) -> StageWalkResult:
-    """Track color c from a Bad pair until GoodEnd or BadEnd: one coupled
-    walk from the shared start table (CoupledWalk.from_start), its stage
-    advanced by stage_update after every step."""
+    """Track color c from a Bad pair until GoodEnd or BadEnd (walk_stages
+    on a new walk); step_cap defaults to 100 * n * k."""
     if classify_color(pair, c) != StateLabel.BAD:
         raise InputError(f"color {c} is not Bad in the starting pair")
     if step_cap is None:
         step_cap = 100 * pair.graph.n * pair.k
-    walk = CoupledWalk.from_start(pair, probs, rng)
+    return walk_stages(CoupledWalk(pair, probs, rng), c, step_cap)
+
+
+def walk_stages(walk: CoupledWalk, c: int, step_cap: int) -> StageWalkResult:
+    """Step walk, which starts at a pair Bad at color c, until its stage
+    ends in GoodEnd or BadEnd, advancing the stage by stage_update after
+    every step.  The caller has checked that c is Bad there."""
     stage = Stage.BAD_STAGE
     while stage in (Stage.BAD_STAGE, Stage.GOOD_STAGE):
         if walk.steps >= step_cap:

@@ -49,16 +49,15 @@ L = probs.scale the lcm of the vector's denominators, so a block's
 minima and residuals, the marginals and the totals are integer sums;
 CoupledMove.mass and the CouplingDistribution sums make one Fraction per
 value they return.  A generic block's moves read the scaled masses once
-and write each min split inline.  Three one-entry caches, each compared
-by identity first, skip repeated work: greedy_coupling_distribution
-keeps the sigma side's identity moves, prebuilt as CoupledMoves, for the
-last (graph, sigma, probs) it saw (_FLIPS), since consecutive pairs of a
-sweep share sigma and the vector, and each pair only drops those whose
-flip is in D; every walk from an equal start copies one start table
-(_START); and the walk records the table behind each move of D with the
-pair it was drawn at (_PRE), so signature of that pair, which is a
-replica's pre-stop pair once the walk ends, reads the block from the
-table instead of searching.
+and write each min split inline.  One one-entry cache, compared by
+identity first, skips repeated work: greedy_coupling_distribution keeps
+the sigma side's identity moves, prebuilt as CoupledMoves, for the last
+(graph, sigma, probs) it saw (_FLIPS), since consecutive pairs of a sweep
+share sigma and the vector, and each pair only drops those whose flip is
+in D.  The walk's tables travel as arguments instead: a walk may copy a
+start walk's table (start_walk) rather than build its first one, and its
+TerminationRecord carries the table its last move of D was drawn from,
+from which signature reads the pre-stop pair's blocks when handed it.
 
 A block also knows what it reads: its colors (s, t and c for a generic
 block, s and t for the disagreement block) and N[visited()], the
@@ -72,7 +71,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -510,18 +509,17 @@ def difference_sets(pair: NeighboringPair) -> dict[int, Entries]:
     return out
 
 
-def signature(pair: NeighboringPair, c: int) -> Signature:
+def signature(pair: NeighboringPair, c: int,
+              blocks: Optional[Sequence[_CachedBlock]] = None) -> Signature:
     """Block summary for color c; defined when delta_c > 0 or c is s or t.
-    At the pair a walk's last move of D was drawn at, the block comes from
-    that move's table (_PRE) instead of a new search."""
+    blocks, when given, is a walk's table at pair (a TerminationRecord's
+    pre_stop_blocks), and the block is read from it instead of searched."""
     if not (0 <= c < pair.k):
         raise InputError(f"color {c} out of range")
-    if _PRE[0] == _pre_key(pair):
-        s, t = pair.s, pair.t
-        table = _PRE[1]
-        i = len(table) - 1 if c == s or c == t else _generic_index(c, s, t)
-        return table[i].block.signature(c)
-    return _block(pair, c).signature(c)
+    if blocks is None:
+        return _block(pair, c).signature(c)
+    s, t = pair.s, pair.t
+    return blocks[-1 if c == s or c == t else _generic_index(c, s, t)].block.signature(c)
 
 
 @dataclass(frozen=True)
@@ -699,7 +697,9 @@ def expected_distance_change(pair: NeighboringPair, probs: FlipProbabilities) ->
 
 @dataclass(frozen=True)
 class TerminationRecord:
-    """Outcome of running the coupling until the distance leaves 1."""
+    """Outcome of running the coupling until the distance leaves 1: the
+    pre-stop pair, and the walk's table there (its blocks in _block_keys
+    order), which signature reads instead of searching again."""
 
     t_stop: int
     final_sigma: Coloring
@@ -707,6 +707,8 @@ class TerminationRecord:
     final_distance: int
     pre_stop_sigma: Coloring
     pre_stop_tau: Coloring
+    pre_stop: NeighboringPair = field(compare=False, repr=False)
+    pre_stop_blocks: tuple[_CachedBlock, ...] = field(compare=False, repr=False)
 
 
 # Draws per refill of the walk's random batch.  The walk consumes the
@@ -723,9 +725,9 @@ def _closed_neighborhood(g: Graph, vertices: frozenset[int]) -> frozenset[int]:
 
 class _CachedBlock:
     """One block as the walk keeps it between rebuilds: the block itself
-    (signature reads it through _PRE), what it reads, its moves with
-    integer masses, their floats and total, and its sigma-side draws (the
-    distinct draws that select one of its sigma flips)."""
+    (signature reads it from a record's table), what it reads, its moves
+    with integer masses, their floats and total, and its sigma-side draws
+    (the distinct draws that select one of its sigma flips)."""
 
     __slots__ = ("block", "reads", "colors", "moves", "floats", "total", "draws")
 
@@ -750,34 +752,6 @@ class _CachedBlock:
         return (lo in colors or hi in colors) and not comp.isdisjoint(self.reads)
 
 
-# The last start table CoupledWalk.from_start built: [key, walk], the
-# walk holding the table.  Every replica of an experiment starts from the
-# same pair, so one entry serves them all.
-# Not lru_cache(maxsize=1): it hashes the graph, both colorings and the
-# vector's Fractions on every hit (about 12 us), where this compare goes by
-# identity first (about 0.08 us), on a replica of about 200 us
-# (construction 1, d=6, k=11).
-_START: list = [None, None]
-
-
-def _start_key(pair: NeighboringPair, probs: FlipProbabilities) -> tuple:
-    """What the start table depends on, compared by value."""
-    return (pair.graph, pair.sigma, pair.tau, probs)
-
-
-# The table behind the last move of D a CoupledWalk drew: [key, blocks],
-# the _CachedBlocks in _block_keys order for the pair the move was drawn
-# at.  A replica classifies its pre-stop pair right after the walk's last
-# move, so signature finds that pair's blocks here instead of searching
-# again.  Compared by identity first, as _FLIPS and _START are.
-_PRE: list = [None, ()]
-
-
-def _pre_key(pair: NeighboringPair) -> tuple:
-    """What a pair's blocks depend on, compared by value."""
-    return (pair.graph, pair.sigma, pair.tau)
-
-
 class CoupledWalk:
     """Mutable coupled trajectory with an exact-per-step fast sampler.
 
@@ -800,20 +774,20 @@ class CoupledWalk:
     integers over L * n * k (L = probs.scale), so the table's floats are
     num / (L * n * k), bit-identical to float(mass), and the move a step
     returns carries num over L * n * k.  blocks_built and
-    blocks_reused count the blocks each rebuild built and kept.  Each
-    move of D leaves its table in _PRE for signature to read.
+    blocks_reused count the blocks each rebuild built and kept.  The walk
+    ends with the table its last move of D was drawn from, for the record.
 
     CoupledWalk(pair, probs, rng) is lazy: it builds every block at its
-    first rebuild.  CoupledWalk.from_start instead starts from the
-    process's shared start table for (pair, probs), built once by a full
-    _rebuild and then copied by every walk from an equal start; the
-    blocks are never mutated, so a walk copies only the list of them.
-    Such a walk skips its first rebuild, and its counters cover only the
-    rebuilds it performs itself: at the start every block counts as
-    neither built nor reused.
+    first rebuild.  Given start, a walk at this very pair and vector whose
+    table a full rebuild has built (start_walk), it copies that table
+    instead; the blocks are never mutated, so it copies only the list of
+    them.  Such a walk skips its first rebuild, and its counters cover
+    only the rebuilds it performs itself: at the start every block counts
+    as neither built nor reused.
     """
 
-    def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng):
+    def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng,
+                 start: Optional[CoupledWalk] = None):
         self.g = pair.graph
         self.k = pair.k
         self.n = pair.graph.n
@@ -834,23 +808,11 @@ class CoupledWalk:
         self._q = 0.0
         self._idx = _BATCH  # force refill
         self._vs = self._cs = self._us = None
-
-    @classmethod
-    def from_start(cls, pair: NeighboringPair, probs: FlipProbabilities,
-                   rng) -> "CoupledWalk":
-        """A walk from pair that starts with the shared start table: the
-        table a full rebuild at pair gives, built once per process for an
-        equal (pair, probs)."""
-        key = _start_key(pair, probs)
-        if _START[0] != key:
-            table = cls(pair, probs, None)
-            table._rebuild()
-            _START[:] = [key, table]
-        table = _START[1]
-        walk = cls(pair, probs, rng)
-        walk._cache = list(table._cache)
-        walk._moves, walk._move_cum, walk._q = table._moves, table._move_cum, table._q
-        return walk
+        if start is not None:
+            if start.pair is not pair or start.probs is not probs:
+                raise InputError("the start walk is at another pair or vector")
+            self._cache = list(start._cache)
+            self._moves, self._move_cum, self._q = start._moves, start._move_cum, start._q
 
     def _refill(self):
         self._vs = self.rng.integers(self.n, size=_BATCH)
@@ -951,14 +913,14 @@ class CoupledWalk:
         sf, tf, num = self._moves[i]
         move = CoupledMove(sf, tf, num, self._den, True)
         sig, tau = move.apply(self.pair)
-        _PRE[:] = [_pre_key(self.pair), self._cache]
-        self._cache = None
+        table, self._cache = self._cache, None
         d = hamming(sig, tau)
         if d == 1:
             self.pair = NeighboringPair(self.g, sig, tau)
             return move
-        # distance left 1: store the final colorings without pair wrapping
-        self._final = (sig, tau, d)
+        # distance left 1: store the final colorings without pair wrapping,
+        # and the table the move was drawn from
+        self._final = (sig, tau, d, tuple(table))
         return move
 
     def run_until_distance_change(self, step_cap: int) -> TerminationRecord:
@@ -967,7 +929,7 @@ class CoupledWalk:
             if self.steps >= step_cap:
                 raise CapacityError(f"no distance change within {step_cap} steps")
             self.step()
-        sig, tau, d = self._final
+        sig, tau, d, table = self._final
         return TerminationRecord(
             t_stop=self.steps,
             final_sigma=sig,
@@ -975,7 +937,17 @@ class CoupledWalk:
             final_distance=d,
             pre_stop_sigma=self.pair.sigma,
             pre_stop_tau=self.pair.tau,
+            pre_stop=self.pair,
+            pre_stop_blocks=table,
         )
+
+
+def start_walk(pair: NeighboringPair, probs: FlipProbabilities) -> CoupledWalk:
+    """A walk at pair, with no generator, whose table one full rebuild has
+    built: the start that CoupledWalk(pair, probs, rng, start) copies."""
+    walk = CoupledWalk(pair, probs, None)
+    walk._rebuild()
+    return walk
 
 
 def variable_length_coupling(
@@ -983,6 +955,8 @@ def variable_length_coupling(
     probs: FlipProbabilities,
     rng,
     step_cap: Optional[int] = None,
+    *,
+    start: Optional[CoupledWalk] = None,
 ) -> TerminationRecord:
     """Run the coupled chain from a neighboring pair until the distance
     leaves 1 (coalescence or growth), and report when and how it ended.
@@ -990,9 +964,8 @@ def variable_length_coupling(
     Terminating moves can relocate the disagreement vertex while keeping
     the distance at 1; the walk continues through those.  step_cap
     defaults to 100 * n * k and a walk exceeding it raises CapacityError.
-    The walk starts from the shared start table (CoupledWalk.from_start).
+    The walk copies start's table when given (see CoupledWalk).
     """
     if step_cap is None:
         step_cap = 100 * pair.graph.n * pair.k
-    walk = CoupledWalk.from_start(pair, probs, rng)
-    return walk.run_until_distance_change(step_cap)
+    return CoupledWalk(pair, probs, rng, start).run_until_distance_change(step_cap)

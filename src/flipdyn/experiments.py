@@ -3,12 +3,13 @@
 Replicas are independent: replica i draws from a Philox stream keyed by
 (seed, i), so results do not depend on scheduling, and reports are
 aggregated in replica order.  Identical configs therefore produce
-byte-identical reports regardless of worker count.  Workers are forked
-processes that read the parent's resolved pair and vector; worker count
-0 means automatic, and without fork replicas run in-process.  Every
-command runs its replicas through one harness (_replicas): a replica
-that exceeds the step cap is in the CSV and counted in exceeded_cap,
-but left out of every metric.
+byte-identical reports regardless of worker count.  Every command runs
+its replicas through one harness (_replicas), which sets the experiment's
+context (the resolved pair and vector, seed, step cap, tracked color and
+the start walk every replica copies) before its forked workers start, so
+they inherit it; worker count 0 means automatic, and without fork
+replicas run in-process.  A replica that exceeds the step cap is in the
+CSV and counted in exceeded_cap, but left out of every metric.
 
 Each report carries normal-approximation 95% confidence intervals and,
 where a single-step quantity has an exact enumeration counterpart
@@ -28,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .classify import (Stage, StateLabel, classify_color, gamma_bound, stage_step_masses,
-                       stage_walk, state_counts)
+                       state_counts, walk_stages)
 from .constructions import ConstructionSpec, build_construction
-from .coupling import terminating_mass, variable_length_coupling
+from .coupling import CoupledWalk, start_walk, terminating_mass, variable_length_coupling
 from .dynamics import FlipProbabilities, fraction_str, resolve_probabilities
 from .errors import CapacityError, InputError, create_output, output_file
 from .graphs import NeighboringPair, read_neighboring_pair
@@ -161,23 +162,34 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# one replica harness; every process reads the parent's pair and vector
+# one replica harness; every replica reads the experiment's context
 
-# Not functools.partial: that pickles the pair into every pool chunk, and
-# the _START compare would drop from identity (0.10 us) to value equality
-# (4.26 us) per replica.
-_WORK: dict = {}
+
+@dataclass(frozen=True)
+class _Context:
+    """What every replica of one experiment reads."""
+
+    pair: NeighboringPair
+    probs: FlipProbabilities
+    seed: int
+    step_cap: int
+    color: Optional[int]
+    start: CoupledWalk
+
+
+# The running experiment's context, set by _replicas and None between
+# experiments; forked workers inherit it, so no chunk pickles the pair.
+_CONTEXT: Optional[_Context] = None
 
 
 def _couple_replica(replica: int) -> tuple:
-    pair, probs = _WORK["pair"], _WORK["probs"]
-    rng = _replica_rng(_WORK["seed"], replica)
+    ctx = _CONTEXT
+    rng = _replica_rng(ctx.seed, replica)
     try:
-        rec = variable_length_coupling(pair, probs, rng, _WORK["step_cap"])
+        rec = variable_length_coupling(ctx.pair, ctx.probs, rng, ctx.step_cap, start=ctx.start)
     except CapacityError:
         return (0, 1, 1, 0, 0)
-    pre = NeighboringPair(pair.graph, rec.pre_stop_sigma, rec.pre_stop_tau)
-    counts = state_counts(pre)
+    counts = state_counts(rec.pre_stop, rec.pre_stop_blocks)
     return (rec.t_stop, rec.final_distance, 0, counts.n_bad, counts.n_good)
 
 
@@ -185,27 +197,23 @@ _COUPLE_HEADER = ("t_stop", "final_distance", "exceeded_cap", "n_bad_pre", "n_go
 
 
 def _stage_replica(replica: int) -> tuple:
-    pair, probs = _WORK["pair"], _WORK["probs"]
-    rng = _replica_rng(_WORK["seed"], replica)
+    ctx = _CONTEXT
+    walk = CoupledWalk(ctx.pair, ctx.probs, _replica_rng(ctx.seed, replica), ctx.start)
     try:
-        result = stage_walk(pair, _WORK["color"], probs, rng, _WORK["step_cap"])
+        result = walk_stages(walk, ctx.color, ctx.step_cap)
     except CapacityError:
         return (0, 0, 1)
     return (1 if result.outcome == Stage.GOOD_END else 0, result.steps, 0)
 
 
-def _map_replicas(config: ExperimentConfig, fn, work: dict) -> list[tuple]:
+def _map_replicas(config: ExperimentConfig, fn) -> list[tuple]:
     # a pool larger than the replica count would only start idle workers
     workers = min(config.workers or min(os.cpu_count() or 1, 8), config.replicas)
     if workers <= 1 or config.replicas < 64 or not hasattr(os, "fork"):
-        _WORK.update(work)
         return [fn(i) for i in range(config.replicas)]
     import multiprocessing as mp
 
-    # fork hands initargs over unpickled, so _WORK.update fills each
-    # worker's own _WORK with the parent's pair and vector
-    with mp.get_context("fork").Pool(workers, initializer=_WORK.update,
-                                     initargs=(work,)) as pool:
+    with mp.get_context("fork").Pool(workers) as pool:
         chunk = max(1, config.replicas // (workers * 8))
         return list(pool.imap(fn, range(config.replicas), chunksize=chunk))
 
@@ -216,10 +224,14 @@ def _replicas(config: ExperimentConfig, pair: NeighboringPair, probs: FlipProbab
     """Run fn on every replica from (pair, probs): the rows of the
     replicas that stopped within the cap, and how many did not (a row's
     third field is exceeded_cap).  Writes every row to csv_path if given."""
+    global _CONTEXT
     create_output(csv_path)
-    work = {"pair": pair, "probs": probs, "seed": config.seed,
-            "step_cap": config.step_cap, "color": color}
-    rows = _map_replicas(config, fn, work)
+    step_cap = config.step_cap or 100 * pair.graph.n * pair.k
+    _CONTEXT = _Context(pair, probs, config.seed, step_cap, color, start_walk(pair, probs))
+    try:
+        rows = _map_replicas(config, fn)
+    finally:
+        _CONTEXT = None
     if csv_path:
         import csv
 

@@ -424,7 +424,7 @@ class TestSimCommands:
         def capped(*args, **kwargs):
             raise CapacityError("stage walk exceeded its cap")
 
-        monkeypatch.setattr(experiments, "stage_walk", capped)
+        monkeypatch.setattr(experiments, "walk_stages", capped)
         code, out, _ = run(
             [
                 "sim", "stages", "--construction", "1", "--d", "2", "--k", "6",

@@ -35,14 +35,17 @@ from flipdyn import (
     vigoda_vector,
 )
 import flipdyn.coupling as coupling
+from flipdyn.classify import Stage, walk_stages
 from flipdyn.coupling import (
     CoupledWalk,
     _difference_moves,
     _difference_raw,
     difference_sets,
     is_terminating,
+    start_walk,
 )
-from flipdyn.experiments import _replica_rng
+import flipdyn.experiments as experiments
+from flipdyn.experiments import ExperimentConfig, _replica_rng
 from flipdyn.graphs import hamming
 
 import reference_blocks
@@ -642,66 +645,126 @@ def retargeted(pair):
     return NeighboringPair(pair.graph, pair.sigma, pair.sigma.recolor({pair.v: t}))
 
 
-def lazily(fn, *args):
-    """fn(*args) with every walk built lazily, as CoupledWalk(pair, probs, rng)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CoupledWalk, "from_start",
-                   classmethod(lambda cls, pair, probs, rng: cls(pair, probs, rng)))
-        return fn(*args)
-
-
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     """fn's record, or the class of the package error it raised."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except FlipDynError as e:
         return type(e)
 
 
-def shared_start_mismatches(seeds):
-    """Compare variable_length_coupling and stage_walk, which start from
-    the shared start table, with the same calls on lazily built walks.
-    Each construction at d=6, k=11 runs with every vector in turn, then
-    its retargeted pair (same graph and sigma) with the vectors in
-    reverse, so each call differs from the one before only in the vector,
-    only in tau, or in the whole pair.  Returns the number of calls whose
-    records differ (a call that raises differs)."""
-    starts = []
+def start_pairs():
+    """Constructions 1-4 at d=6, k=11 and their retargeted pairs, each
+    with its Bad colors."""
+    out = []
     for index in (1, 2, 3, 4):
         pair = build_construction(ConstructionSpec(index, 6, 11))
         for p in (pair, retargeted(pair)):
-            bad = [c for c in range(p.k) if classify_color(p, c) == StateLabel.BAD]
-            starts.append((p, bad))
-    assert sum(len(bad) for _, bad in starts) >= 3
+            out.append((p, [c for c in range(p.k) if classify_color(p, c) == StateLabel.BAD]))
+    assert sum(len(bad) for _, bad in out) >= 3
+    return out
+
+
+def shared_start_mismatches(seeds):
+    """Compare variable_length_coupling and walk_stages on walks that copy
+    one start walk per (pair, vector) with the same calls on lazily built
+    walks.  Each construction at d=6, k=11 and its retargeted pair (same
+    graph and sigma) run with every vector, and every seed copies the same
+    start walk.  Returns the number of calls whose records differ (a call
+    that raises differs)."""
+    differ = 0
+    for pair, bad in start_pairs():
+        cap = 100 * pair.graph.n * pair.k
+        for vec in sorted(VECTORS):
+            probs = VECTORS[vec]
+            start = start_walk(pair, probs)
+            for seed in seeds:
+                lazy = variable_length_coupling(pair, probs, np.random.default_rng(seed))
+                shared = outcome(variable_length_coupling, pair, probs,
+                                 np.random.default_rng(seed), start=start)
+                differ += shared != lazy
+                for c in bad:
+                    lazy = stage_walk(pair, c, probs, np.random.default_rng(seed))
+                    walk = CoupledWalk(pair, probs, np.random.default_rng(seed), start)
+                    differ += outcome(walk_stages, walk, c, cap) != lazy
+    return differ
+
+
+def context_mismatches(replicas=4):
+    """Run the couple and stage harnesses (_replicas) on every start pair,
+    each with every vector in turn (the retargeted pairs in reverse), so
+    each experiment differs from the one before only in the vector, only
+    in tau, or in the whole pair.  Returns the number of experiments whose
+    rows differ from rows of lazily built walks (one that raises differs);
+    the context must be cleared after each."""
+    config = ExperimentConfig(seed=5, replicas=replicas,
+                              construction=ConstructionSpec(1, 6, 11), workers=1)
     vecs = sorted(VECTORS)
     differ = 0
-    for seed in seeds:
-        for i, (pair, bad) in enumerate(starts):
-            for vec in vecs if i % 2 == 0 else vecs[::-1]:
-                calls = [(variable_length_coupling, (pair,))]
-                calls += [(stage_walk, (pair, c)) for c in bad]
-                for fn, head in calls:
-                    lazy = lazily(fn, *head, VECTORS[vec], np.random.default_rng(seed))
-                    shared = outcome(fn, *head, VECTORS[vec], np.random.default_rng(seed))
-                    differ += shared != lazy
+    for i, (pair, bad) in enumerate(start_pairs()):
+        cap = 100 * pair.graph.n * pair.k
+        for vec in vecs if i % 2 == 0 else vecs[::-1]:
+            probs = VECTORS[vec]
+            want = []
+            for r in range(replicas):
+                rec = variable_length_coupling(pair, probs, _replica_rng(5, r), cap)
+                counts = state_counts(NeighboringPair(pair.graph, rec.pre_stop_sigma,
+                                                      rec.pre_stop_tau))
+                want.append((rec.t_stop, rec.final_distance, 0, counts.n_bad, counts.n_good))
+            got = outcome(experiments._replicas, config, pair, probs,
+                          experiments._couple_replica, experiments._COUPLE_HEADER, None)
+            differ += got != (want, 0)
+            for c in bad:
+                want = []
+                for r in range(replicas):
+                    res = stage_walk(pair, c, probs, _replica_rng(5, r))
+                    want.append((int(res.outcome == Stage.GOOD_END), res.steps, 0))
+                got = outcome(experiments._replicas, config, pair, probs,
+                              experiments._stage_replica, (), None, c)
+                differ += got != (want, 0)
+            assert experiments._CONTEXT is None
     return differ
 
 
 class TestSharedStart:
-    """A walk from the shared start table runs exactly as a lazy one."""
+    """A walk that copies a start walk runs exactly as a lazy one, and
+    each experiment's replicas copy a start walk of their own pair and
+    vector."""
 
     def test_same_records_as_lazy_walks(self):
         assert shared_start_mismatches(range(50)) == 0
 
+    def test_a_start_walk_at_another_pair_or_vector_is_refused(self):
+        pair, probs = build_construction(ConstructionSpec(1, 6, 11)), mixed_vector()
+        start = start_walk(pair, probs)
+        for other in (build_construction(ConstructionSpec(1, 6, 11)), retargeted(pair)):
+            with pytest.raises(InputError, match="start walk"):
+                variable_length_coupling(other, probs, np.random.default_rng(0), start=start)
+        with pytest.raises(InputError, match="start walk"):
+            CoupledWalk(pair, mixed_vector(), np.random.default_rng(0), start)
+
+    def test_each_experiment_gets_its_own_context(self):
+        assert context_mismatches() == 0
+
     @pytest.mark.parametrize("mutant", ["probs", "tau"])
-    def test_a_key_missing_probs_or_tau_is_caught(self, mutant, monkeypatch):
+    def test_a_context_reused_with_another_vector_or_tau_is_caught(self, mutant,
+                                                                   monkeypatch):
+        # a harness that keeps the context of an earlier experiment with
+        # the same color whose pair and vector agree by value, ignoring the
+        # vector or tau
         if mutant == "probs":
             key = lambda pair, probs: (pair.graph, pair.sigma, pair.tau)
         else:
             key = lambda pair, probs: (pair.graph, pair.sigma, probs)
-        monkeypatch.setattr(coupling, "_start_key", key)
-        monkeypatch.setattr(coupling, "_START", [None, None])
-        assert shared_start_mismatches(range(3)) > 0
+        made = {}
+
+        def kept(pair, probs, seed, step_cap, color, start):
+            return made.setdefault((key(pair, probs), color),
+                                   context(pair, probs, seed, step_cap, color, start))
+
+        context = experiments._Context
+        monkeypatch.setattr(experiments, "_Context", kept)
+        assert context_mismatches() > 0
 
 
 class TestWalkCounters:
@@ -714,8 +777,8 @@ class TestWalkCounters:
         assert (walk.blocks_built, walk.blocks_reused) == (29, 51)
 
     def test_a_shared_start_skips_the_full_build(self):
-        pair = build_construction(ConstructionSpec(1, 6, 11))
-        walk = CoupledWalk.from_start(pair, mixed_vector(), np.random.default_rng(10))
+        pair, probs = build_construction(ConstructionSpec(1, 6, 11)), mixed_vector()
+        walk = CoupledWalk(pair, probs, np.random.default_rng(10), start_walk(pair, probs))
         rec = walk.run_until_distance_change(10**5)
         assert (rec.t_stop, rec.final_distance) == (35, 0)
         # the same 8 rebuilds, but the first builds only the 2 blocks the
@@ -832,88 +895,70 @@ class TestOnePassBlocks:
                 assert block_mismatches(p, VECTORS[vec]) == [], vec
 
 
-class _TableRead(Exception):
-    """signature read an entry of the walk's last table."""
+def fresh_signatures(pair):
+    """Each color's signature (or the error it raises) from the two-pass
+    reference blocks."""
+    return [outcome(reference_blocks.block(pair, c).signature, c) for c in range(pair.k)]
 
 
-class _Unread:
-    """A table entry whose block must not be read."""
+class _PairLog(CoupledWalk):
+    """A walk that keeps its pair after every identity flip since its last
+    move of D."""
 
-    @property
-    def block(self):
-        raise _TableRead
-
-
-def table_reads(pair):
-    """How many of pair's k signatures read the table in _PRE, once its
-    entries are made _Unread."""
-    reads = 0
-    for c in range(pair.k):
-        try:
-            signature(pair, c)
-        except _TableRead:
-            reads += 1
-        except InputError:
-            pass
-    return reads
+    def step(self):
+        move = super().step()
+        if move is not None:
+            self.after_d = [] if move.terminating else self.after_d + [self.pair]
+        return move
 
 
-def pre_table_reads(seeds):
-    """Walk from constructions 1-4 at d=6, k=11 and make the table behind
-    each move of D unreadable as soon as the move is drawn.  Returns the
-    reads by the pair each table was built for (the pre-stop pair, k per
-    walk) and the reads by other pairs: the retargeted pre-stop pair (the
-    same graph and sigma, another tau) and the walk's pair after every
-    identity flip that follows a move of D."""
+def pre_table_mismatches(seeds):
+    """Walk from constructions 1-4 at d=6, k=11, copying one start walk
+    each.  Returns how many of the pre-stop pair's k signatures read from
+    the record's table agree with the reference (k per walk), and how
+    many signatures of other pairs, searched right after the walk,
+    disagree with it: the retargeted pre-stop pair (the same graph and
+    sigma, another tau) and the walk's pair after every identity flip
+    that follows a move of D."""
     own = other = 0
+    probs = mixed_vector()
     for index in (1, 2, 3, 4):
         pair = build_construction(ConstructionSpec(index, 6, 11))
+        start = start_walk(pair, probs)
         for seed in seeds:
-            walk = CoupledWalk.from_start(pair, mixed_vector(), np.random.default_rng(seed))
-            after_d = False
-            while walk._final is None:
-                pre = walk.pair
-                move = walk.step()
-                if move is None:
-                    continue
-                if move.terminating:
-                    coupling._PRE[1] = [_Unread()] * len(coupling._PRE[1])
-                    after_d = True
-                elif after_d:
-                    other += table_reads(walk.pair)
-            own += table_reads(pre)
-            other += table_reads(retargeted(pre))
+            walk = _PairLog(pair, probs, np.random.default_rng(seed), start)
+            walk.after_d = []
+            rec = walk.run_until_distance_change(10**5)
+            pre = rec.pre_stop
+            table = [outcome(signature, pre, c, rec.pre_stop_blocks) for c in range(pre.k)]
+            own += sum(a == b for a, b in zip(table, fresh_signatures(pre)))
+            for p in [retargeted(pre)] + walk.after_d:
+                other += [outcome(signature, p, c) for c in range(p.k)] != fresh_signatures(p)
     return own, other
 
 
 class TestPreStopTable:
-    """signature reads the table behind the walk's last move of D for the
-    pair that move left, and for no other pair."""
+    """A walk's record carries the table its last move of D was drawn
+    from, at the pre-stop pair, and signature reads a table only when
+    handed one."""
 
-    def test_pre_stop_counts_match_a_fresh_search(self, monkeypatch):
-        monkeypatch.setattr(coupling, "_PRE", [None, ()])
+    def test_pre_stop_counts_match_a_fresh_search(self):
         probs = mixed_vector()
-        hits = n_bad = 0
+        n_bad = 0
         for index in (1, 2, 3, 4):
             pair = build_construction(ConstructionSpec(index, 6, 11))
+            start = start_walk(pair, probs)
             for r in range(200):
-                rec = variable_length_coupling(pair, probs, _replica_rng(1000 + index, r))
-                pre = NeighboringPair(pair.graph, rec.pre_stop_sigma, rec.pre_stop_tau)
-                hits += coupling._PRE[0] == coupling._pre_key(pre)
-                counts = state_counts(pre)
-                coupling._PRE[:] = [None, ()]
-                assert counts == state_counts(pre), (index, r)
+                rec = variable_length_coupling(pair, probs, _replica_rng(1000 + index, r),
+                                               start=start)
+                pre = rec.pre_stop
+                assert (pre.sigma, pre.tau) == (rec.pre_stop_sigma, rec.pre_stop_tau)
+                counts = state_counts(pre, rec.pre_stop_blocks)
+                fresh = NeighboringPair(pair.graph, rec.pre_stop_sigma, rec.pre_stop_tau)
+                assert counts == state_counts(fresh), (index, r)
                 n_bad += counts.n_bad
-        assert hits == 800 and n_bad > 0
+        assert n_bad > 0
 
-    def test_only_the_pair_it_was_built_for_reads_it(self, monkeypatch):
-        monkeypatch.setattr(coupling, "_PRE", [None, ()])
-        own, other = pre_table_reads(range(20))
+    def test_only_the_pair_it_was_built_for_reads_it(self):
+        own, other = pre_table_mismatches(range(20))
         assert (own, other) == (4 * 20 * 11, 0)
-
-    @pytest.mark.parametrize("key", [lambda pair: (pair.graph, pair.sigma),
-                                     lambda pair: (pair.graph,)], ids=["no-tau", "graph-only"])
-    def test_a_key_missing_tau_is_caught(self, key, monkeypatch):
-        monkeypatch.setattr(coupling, "_PRE", [None, ()])
-        monkeypatch.setattr(coupling, "_pre_key", key)
-        assert pre_table_reads(range(3))[1] > 0

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import flipdyn.classify as classify
+import flipdyn.experiments as experiments
 from flipdyn import (
     Coloring,
     ConstructionSpec,
@@ -106,13 +108,13 @@ class TestCouplingExperiment:
 
     def test_pool_is_capped_at_the_replica_count(self, monkeypatch):
         # A pool that records the size asked for and maps in-process, so
-        # no process starts whatever the size.
+        # no process starts whatever the size; it reads the context the
+        # parent set, as forked workers do.
         sizes = []
 
         class RecordingPool:
-            def __init__(self, processes, initializer, initargs):
+            def __init__(self, processes):
                 sizes.append(processes)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -221,6 +223,33 @@ class TestStageExperiment:
         rep = run_stage_experiment(config, 2)
         if "p_good_end" in rep.metrics:
             assert rep.metrics["p_good_end"].mean == 0.0
+
+    def test_classifies_its_start_pair_once(self, monkeypatch):
+        # Outside the stage rule, which classifies the walk's pair after
+        # every step, the experiment classifies one pair once: its start
+        # pair.  The replicas copy the start walk and never check it again.
+        checks, inside = [], []
+        real, real_update = classify.classify_color, classify.stage_update
+
+        def counted(pair, c, *blocks):
+            if not inside:
+                checks.append((pair, c))
+            return real(pair, c, *blocks)
+
+        def updated(*args):
+            inside.append(args)
+            try:
+                return real_update(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(classify, "classify_color", counted)
+        monkeypatch.setattr(classify, "stage_update", updated)
+        monkeypatch.setattr(experiments, "classify_color", counted)
+        config = ExperimentConfig(seed=9, replicas=40, construction=ConstructionSpec(1, 2, 6),
+                                  workers=1)
+        run_stage_experiment(config, 2)
+        assert len(checks) == 1 and checks[0][1] == 2
 
     def test_csv(self, tmp_path):
         path = str(tmp_path / "st.csv")
