@@ -6,7 +6,10 @@ block signature: Sing when exactly one neighbor carries c, Bad when two
 do and the block matches the unique worst two-neighbor shape, Good
 otherwise.  The two disagreement colors are always Good, whether or not
 they appear in the neighborhood; a color absent from the neighborhood and
-not a disagreement color is Absent.
+not a disagreement color is Absent.  A color's block is read only when
+two neighbors carry it, so state_counts makes one pass over the pair's
+neighbor counts and reads (or searches) a block only there; given a
+walk's table, the block comes from it where the table holds one.
 
 The stage machine follows one Bad color c from a Bad starting pair.  The
 walk leaves the Bad stage on its very first step: to the Good stage when
@@ -15,7 +18,9 @@ otherwise.  From the Good stage a terminating move ends the walk in
 GoodEnd; a non-terminating move that leaves state Good(c) (including c
 disappearing from the neighborhood) ends it in BadEnd; otherwise the Good
 stage continues.  BadEnd is absorbing.  Every draw of the dynamics counts
-as a step, including draws that flip nothing.
+as a step, including draws that flip nothing.  A stage walk classifies
+the tracked color from the block its walk still keeps for it, and
+searches only where the walk dropped that block.
 """
 
 from __future__ import annotations
@@ -58,16 +63,20 @@ def classify_color(pair: NeighboringPair, c: int,
         raise InputError(f"color {c} out of range")
     if c == pair.s or c == pair.t:
         return StateLabel.GOOD
-    delta = pair.delta(c)
+    delta = pair._delta[c]
     if delta == 0:
         return StateLabel.ABSENT
     if delta == 1:
         return StateLabel.SING
-    if delta == 2:
-        sig = signature(pair, c, blocks)
-        if (sig.A, sig.B, sig.a, sig.b) in BAD_SIGNATURES:
-            return StateLabel.BAD
+    if delta == 2 and _bad_block(pair, c, blocks):
+        return StateLabel.BAD
     return StateLabel.GOOD
+
+
+def _bad_block(pair: NeighboringPair, c: int, blocks: Optional[Sequence]) -> bool:
+    """Whether the block of a color c with delta_c = 2 has a Bad shape."""
+    sig = signature(pair, c, blocks)
+    return (sig.A, sig.B, sig.a, sig.b) in BAD_SIGNATURES
 
 
 @dataclass(frozen=True)
@@ -79,15 +88,23 @@ class StateCounts:
 
 
 def state_counts(pair: NeighboringPair, blocks: Optional[Sequence] = None) -> StateCounts:
-    """Count colors in each state, reading blocks as classify_color does;
-    the two disagreement colors are Good."""
-    labels = [classify_color(pair, c, blocks) for c in range(pair.k)]
-    return StateCounts(
-        n_sing=labels.count(StateLabel.SING),
-        n_bad=labels.count(StateLabel.BAD),
-        n_good=labels.count(StateLabel.GOOD),
-        n_absent=labels.count(StateLabel.ABSENT),
-    )
+    """Count colors in each state, with classify_color's labels: one pass
+    over the neighbor counts, which reads a block (from blocks when given)
+    only for a color two neighbors carry.  The two disagreement colors
+    are Good."""
+    s, t = pair.s, pair.t
+    n_sing = n_bad = n_absent = 0
+    for c, delta in enumerate(pair._delta):
+        if c == s or c == t:
+            continue
+        if delta == 0:
+            n_absent += 1
+        elif delta == 1:
+            n_sing += 1
+        elif delta == 2 and _bad_block(pair, c, blocks):
+            n_bad += 1
+    return StateCounts(n_sing=n_sing, n_bad=n_bad,
+                       n_good=len(pair._delta) - n_sing - n_bad - n_absent, n_absent=n_absent)
 
 
 class Stage(enum.Enum):
@@ -102,6 +119,7 @@ def stage_update(
     new_pair: Optional[NeighboringPair],
     move: Optional[CoupledMove],
     c: int,
+    blocks: Optional[Sequence] = None,
 ) -> Stage:
     """Advance the stage of color c by one step of the coupled walk.
 
@@ -109,7 +127,9 @@ def stage_update(
     prev is the Bad stage exactly on the first step.  move is None for a
     no-op draw.  new_pair is the pair after the step; a terminating move
     decides the stage without reading it, so there it may be None or
-    stale (only such a move can leave Hamming distance 1).
+    stale (only such a move can leave Hamming distance 1).  blocks, when
+    given, is the walk's table at new_pair, read as classify_color reads
+    it.
     """
     if prev == Stage.BAD_END:
         return Stage.BAD_END
@@ -117,7 +137,7 @@ def stage_update(
         raise InputError("stage walk already ended in GoodEnd")
     if move is not None and move.terminating:
         return Stage.BAD_END if prev == Stage.BAD_STAGE else Stage.GOOD_END
-    if new_pair is not None and classify_color(new_pair, c) == StateLabel.GOOD:
+    if new_pair is not None and classify_color(new_pair, c, blocks) == StateLabel.GOOD:
         return Stage.GOOD_STAGE
     return Stage.BAD_END
 
@@ -147,13 +167,16 @@ def stage_walk(
 def walk_stages(walk: CoupledWalk, c: int, step_cap: int) -> StageWalkResult:
     """Step walk, which starts at a pair Bad at color c, until its stage
     ends in GoodEnd or BadEnd, advancing the stage by stage_update after
-    every step.  The caller has checked that c is Bad there."""
+    every step.  The caller has checked that c is Bad there.  Each update
+    classifies c from the block the walk still keeps for it, if any: after
+    a step that is not a move of D the kept blocks are the ones of the
+    walk's pair."""
     stage = Stage.BAD_STAGE
     while stage in (Stage.BAD_STAGE, Stage.GOOD_STAGE):
         if walk.steps >= step_cap:
             raise CapacityError(f"stage walk exceeded {step_cap} steps")
         move = walk.step()
-        stage = stage_update(stage, walk.pair, move, c)
+        stage = stage_update(stage, walk.pair, move, c, walk._cache)
     return StageWalkResult(outcome=stage, steps=walk.steps)
 
 

@@ -22,7 +22,7 @@ from . import lp as lp_mod
 from .constructions import ConstructionSpec, build_construction
 from .coupling import greedy_coupling_distribution
 from .dynamics import flip_step_distribution, resolve_probabilities, stationary_check_tiny
-from .errors import CapacityError, InputError, create_output
+from .errors import CapacityError, InputError, create_output, output_file
 from .experiments import (
     ExperimentConfig,
     estimate_gamma_empirical,
@@ -185,30 +185,34 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=0, help="0 = automatic")
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", help="write per-replica rows to this file")
+    p.add_argument("--stats", help="write the run's timing and work counters to this "
+                                   "JSON file (not part of the report)")
 
 
-def _emit_report(report, args) -> int:
+def _run_sim(args, run) -> int:
+    """run(config) with the stats path checked before any replica runs;
+    prints the report and writes the stats sidecar if asked."""
+    config = _experiment_config(args)
+    create_output(args.stats)
+    report = run(config)
+    if args.stats:
+        with output_file(args.stats) as fh:
+            fh.write(report.stats.to_json())
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return 0 if report.ok else 1
 
 
 def _cmd_sim_couple(args) -> int:
-    return _emit_report(
-        run_coupling_experiment(_experiment_config(args), csv_path=args.csv), args
-    )
+    return _run_sim(args, lambda config: run_coupling_experiment(config, csv_path=args.csv))
 
 
 def _cmd_sim_stages(args) -> int:
-    return _emit_report(
-        run_stage_experiment(_experiment_config(args), args.color, csv_path=args.csv),
-        args,
-    )
+    return _run_sim(
+        args, lambda config: run_stage_experiment(config, args.color, csv_path=args.csv))
 
 
 def _cmd_sim_gamma(args) -> int:
-    return _emit_report(
-        estimate_gamma_empirical(_experiment_config(args), csv_path=args.csv), args
-    )
+    return _run_sim(args, lambda config: estimate_gamma_empirical(config, csv_path=args.csv))
 
 
 def _cmd_construct(args) -> int:

@@ -38,7 +38,8 @@ negative there).
 
 A move is terminating when one of its flips is in D: rooted at v, or the
 component of a neighbor of v flipped toward the opposite disagreement
-color (_touches_d).  Non-terminating moves never change the Hamming
+color (_touches_d; CoupledWalk.step applies the same rule inline to each
+draw it tests).  Non-terminating moves never change the Hamming
 distance; terminating moves may (including to 0 or above 1), but a
 terminating move can also relocate the disagreement to another vertex at
 distance 1.
@@ -55,9 +56,10 @@ the sigma side's identity moves, prebuilt as CoupledMoves, for the last
 (graph, sigma, probs) it saw (_FLIPS), since consecutive pairs of a sweep
 share sigma and the vector, and each pair only drops those whose flip is
 in D.  The walk's tables travel as arguments instead: a walk may copy a
-start walk's table (start_walk) rather than build its first one, and its
-TerminationRecord carries the table its last move of D was drawn from,
-from which signature reads the pre-stop pair's blocks when handed it.
+start walk's table and absent-color entries (start_walk) rather than
+build its first ones, and its TerminationRecord carries the table its
+last move of D was drawn from, from which signature reads the pre-stop
+pair's blocks when handed it (a stage walk hands it the blocks it keeps).
 
 A block also knows what it reads: its colors (s, t and c for a generic
 block, s and t for the disagreement block) and N[visited()], the
@@ -197,11 +199,14 @@ class _GenericBlock:
     __slots__ = ("c", "s", "t", "colors", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets",
                  "i_max", "j_max")
 
-    def __init__(self, pair: NeighboringPair, c: int):
+    def __init__(self, pair: NeighboringPair, c: int, absent: bool = False):
+        """The block of c at pair; absent builds it as if no neighbor of v
+        carried c, which gives the block of every pair with this v, s and
+        t where delta_c = 0."""
         s, t, v = pair.s, pair.t, pair.v
         self.c, self.s, self.t = c, s, t
         self.colors = (s, t, c)
-        if not pair._delta[c]:
+        if absent or not pair._delta[c]:
             self.u = self.a_sets = self.b_sets = ()
             self.sv_sigma = self.sv_tau = frozenset((v,))
             self.i_max = self.j_max = None
@@ -512,14 +517,18 @@ def difference_sets(pair: NeighboringPair) -> dict[int, Entries]:
 def signature(pair: NeighboringPair, c: int,
               blocks: Optional[Sequence[_CachedBlock]] = None) -> Signature:
     """Block summary for color c; defined when delta_c > 0 or c is s or t.
-    blocks, when given, is a walk's table at pair (a TerminationRecord's
-    pre_stop_blocks), and the block is read from it instead of searched."""
+    blocks, when given, is a walk's table at pair, in _block_keys order:
+    a TerminationRecord's pre_stop_blocks, or the blocks a walk keeps,
+    None where it dropped one.  The block is read from it where it holds
+    one, and searched otherwise."""
     if not (0 <= c < pair.k):
         raise InputError(f"color {c} out of range")
-    if blocks is None:
-        return _block(pair, c).signature(c)
-    s, t = pair.s, pair.t
-    return blocks[-1 if c == s or c == t else _generic_index(c, s, t)].block.signature(c)
+    if blocks is not None:
+        s, t = pair.s, pair.t
+        entry = blocks[-1 if c == s or c == t else _generic_index(c, s, t)]
+        if entry is not None:
+            return entry.block.signature(c)
+    return _block(pair, c).signature(c)
 
 
 @dataclass(frozen=True)
@@ -699,7 +708,9 @@ def expected_distance_change(pair: NeighboringPair, probs: FlipProbabilities) ->
 class TerminationRecord:
     """Outcome of running the coupling until the distance leaves 1: the
     pre-stop pair, and the walk's table there (its blocks in _block_keys
-    order), which signature reads instead of searching again."""
+    order), which signature reads instead of searching again.  rebuilds,
+    blocks_built and blocks_reused are the walk's work counters (t_stop
+    is its step count)."""
 
     t_stop: int
     final_sigma: Coloring
@@ -709,6 +720,9 @@ class TerminationRecord:
     pre_stop_tau: Coloring
     pre_stop: NeighboringPair = field(compare=False, repr=False)
     pre_stop_blocks: tuple[_CachedBlock, ...] = field(compare=False, repr=False)
+    rebuilds: int = field(compare=False, repr=False)
+    blocks_built: int = field(compare=False, repr=False)
+    blocks_reused: int = field(compare=False, repr=False)
 
 
 # Draws per refill of the walk's random batch.  The walk consumes the
@@ -765,25 +779,38 @@ class CoupledWalk:
     which always bounds the total mass of D; the bound is checked exactly,
     in integers, at every rebuild.
 
+    A step tests and applies an identity draw itself: _touches_d's rule
+    toward t written inline, p_alpha read from the vector's float tuple.
+    It still searches through alternating_component, and still returns a
+    non-terminating CoupledMove for an identity flip, which stage_update
+    and tracers read.
+
     The sampling table is built from the blocks of D, which the walk keeps
     between rebuilds.  An identity flip of S between colors lo and hi
     drops only the blocks that tell lo or hi apart from other colors and
     read a vertex of S (stale_after); a move of D drops them all, since v,
     s and t may change.  A rebuild builds the dropped blocks alone, then
-    concatenates every block's moves in _blocks order.  Masses are
-    integers over L * n * k (L = probs.scale), so the table's floats are
-    num / (L * n * k), bit-identical to float(mass), and the move a step
-    returns carries num over L * n * k.  blocks_built and
-    blocks_reused count the blocks each rebuild built and kept.  The walk
-    ends with the table its last move of D was drawn from, for the record.
+    concatenates every block's moves in _blocks order.  A color outside
+    {s, t} with delta_c = 0 has the same block at every pair with the
+    walk's v, s and t (both sides {v}, one coalescing move, N[v] as its
+    read set), so the walk keeps one such absent entry per color
+    (_absent), built at most once between two moves of D, and a rebuild
+    reuses it wherever delta_c = 0; a move of D drops these too.  Masses
+    are integers over L * n * k (L = probs.scale), so the table's floats
+    are num / (L * n * k), bit-identical to float(mass), and the move a
+    step returns carries num over L * n * k.  rebuilds counts the
+    rebuilds, and blocks_built and blocks_reused the blocks each built
+    and kept (a reused absent entry counts as built).  The walk ends with
+    the table its last move of D was drawn from, for the record.
 
     CoupledWalk(pair, probs, rng) is lazy: it builds every block at its
     first rebuild.  Given start, a walk at this very pair and vector whose
-    table a full rebuild has built (start_walk), it copies that table
-    instead; the blocks are never mutated, so it copies only the list of
-    them.  Such a walk skips its first rebuild, and its counters cover
-    only the rebuilds it performs itself: at the start every block counts
-    as neither built nor reused.
+    table a full rebuild has built and which holds every absent entry
+    (start_walk), it copies that table and those entries instead; the
+    blocks are never mutated, so it copies only the lists of them.  Such a
+    walk skips its first rebuild and builds no absent entry before its
+    first move of D, and its counters cover only the rebuilds it performs
+    itself: at the start every block counts as neither built nor reused.
     """
 
     def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng,
@@ -793,9 +820,12 @@ class CoupledWalk:
         self.n = pair.graph.n
         self.nk = self.n * self.k
         self.probs = probs
+        # p_alpha as floats, alpha = 1..len: the identity coin reads them
+        self._floats = probs._floats
         self.rng = rng
         self.pair = pair
         self.steps = 0
+        self.rebuilds = 0
         self.blocks_built = 0
         self.blocks_reused = 0
         self._final = None
@@ -803,6 +833,10 @@ class CoupledWalk:
         # None: every block dropped; otherwise one entry per _block_keys
         # color, None where that block was dropped
         self._cache: Optional[list[Optional[_CachedBlock]]] = None
+        # the absent-color entries at the walk's v, s and t, one per generic
+        # color in _block_keys order, None until built; None after a move
+        # of D, like _cache
+        self._absent: Optional[list[Optional[_CachedBlock]]] = None
         self._moves: list[RawMove] = []
         self._move_cum: list[float] = []
         self._q = 0.0
@@ -812,12 +846,20 @@ class CoupledWalk:
             if start.pair is not pair or start.probs is not probs:
                 raise InputError("the start walk is at another pair or vector")
             self._cache = list(start._cache)
+            self._absent = list(start._absent)
             self._moves, self._move_cum, self._q = start._moves, start._move_cum, start._q
 
+    def _absent_entry(self, c: int) -> _CachedBlock:
+        """The entry of color c outside {s, t} at any pair with the walk's
+        v, s and t where no neighbor of v carries c."""
+        return _CachedBlock(_GenericBlock(self.pair, c, absent=True), self.g, self.probs,
+                            self._den)
+
     def _refill(self):
-        self._vs = self.rng.integers(self.n, size=_BATCH)
-        self._cs = self.rng.integers(self.k, size=_BATCH)
-        self._us = self.rng.random(size=_BATCH)
+        # read through memoryviews, whose items are Python ints and floats
+        self._vs = memoryview(self.rng.integers(self.n, size=_BATCH))
+        self._cs = memoryview(self.rng.integers(self.k, size=_BATCH))
+        self._us = memoryview(self.rng.random(size=_BATCH))
         self._idx = 0
 
     def _drop(self, comp: frozenset[int], lo: int, hi: int) -> None:
@@ -842,18 +884,29 @@ class CoupledWalk:
     def _rebuild(self):
         # v, s and t change only with a move of D, which drops every block,
         # so the pair's keys are the keys the kept blocks were built for
-        keys = _block_keys(self.pair)
+        pair = self.pair
+        keys = _block_keys(pair)
         if self._cache is None:
             self._cache = [None] * len(keys)
-        cache = self._cache
+        if self._absent is None:
+            self._absent = [None] * (len(keys) - 1)
+        cache, absent, delta, s = self._cache, self._absent, pair._delta, pair.s
+        self.rebuilds += 1
         moves: list[RawMove] = []
         floats: list[float] = []
         used = 0
         q_draws = self.n
         for i, entry in enumerate(cache):
             if entry is None:
-                entry = cache[i] = _CachedBlock(
-                    _block(self.pair, keys[i]), self.g, self.probs, self._den)
+                c = keys[i]
+                if c == s or delta[c]:
+                    entry = _CachedBlock(_block(pair, c), self.g, self.probs, self._den)
+                else:
+                    # an absent color's block depends on v, s, t and c alone
+                    entry = absent[i]
+                    if entry is None:
+                        entry = absent[i] = self._absent_entry(c)
+                cache[i] = entry
                 self.blocks_built += 1
             else:
                 self.blocks_reused += 1
@@ -872,38 +925,48 @@ class CoupledWalk:
         """Advance one step; returns the applied move, or None for a no-op."""
         if self._idx >= _BATCH:
             self._refill()
-        x = int(self._vs[self._idx])
-        c = int(self._cs[self._idx])
-        u = float(self._us[self._idx])
-        self._idx += 1
+        at = self._idx
+        x = self._vs[at]
+        c = self._cs[at]
+        u = self._us[at]
+        self._idx = at + 1
         self.steps += 1
 
-        cols = self.pair.sigma.colors
-        if c == cols[x]:
-            in_d = True
-        else:
-            comp = alternating_component(self.g, self.pair.sigma, x, c)
-            drawn = _mk_flip(comp, cols[x], c)
-            in_d = _touches_d(self.pair, drawn, self.pair.t, cols)
-
-        if not in_d:
-            alpha = len(comp)
-            p = self.probs.mass_float(alpha)
-            if p > 0 and u < p / alpha:
-                _, lo, hi = drawn
-                # comp misses v, so both sides carry lo or hi on it: swap it
-                # once for sigma, then tau is sigma with t at v
-                new = list(cols)
-                for w in comp:
-                    new[w] = hi if new[w] == lo else lo
-                k = self.pair.k
-                sig = Coloring._unchecked(tuple(new), k)
-                new[self.pair.v] = self.pair.t
-                tau = Coloring._unchecked(tuple(new), k)
-                self.pair = self.pair._flipped_off_v(sig, tau, comp)
-                self._drop(comp, lo, hi)
-                return CoupledMove(drawn, drawn, 0, self._den, False)
-            return None
+        pair = self.pair
+        cols = pair.sigma.colors
+        cx = cols[x]
+        if c != cx:
+            comp = alternating_component(self.g, pair.sigma, x, c)
+            lo, hi = (cx, c) if cx < c else (c, cx)
+            # _touches_d toward t: the flip is in D when comp holds v, or
+            # when it recolors a neighbor of v from the other color to t
+            v, t = pair.v, pair.t
+            in_d = v in comp
+            if not in_d and (t == lo or t == hi):
+                other = lo + hi - t
+                for w in self.g.adj[v]:
+                    if cols[w] == other and w in comp:
+                        in_d = True
+                        break
+            if not in_d:
+                alpha = len(comp)
+                floats = self._floats
+                p = floats[alpha - 1] if alpha <= len(floats) else 0.0
+                if p > 0 and u < p / alpha:
+                    # comp misses v, so both sides carry lo or hi on it:
+                    # swap it once for sigma, then tau is sigma with t at v
+                    new = list(cols)
+                    for w in comp:
+                        new[w] = hi if new[w] == lo else lo
+                    k = self.k
+                    sig = Coloring._unchecked(tuple(new), k)
+                    new[v] = t
+                    tau = Coloring._unchecked(tuple(new), k)
+                    self.pair = pair._flipped_off_v(sig, tau, comp)
+                    self._drop(comp, lo, hi)
+                    drawn = (comp, lo, hi)
+                    return CoupledMove(drawn, drawn, 0, self._den, False)
+                return None
 
         if self._cache is None or None in self._cache:
             self._rebuild()
@@ -913,7 +976,7 @@ class CoupledWalk:
         sf, tf, num = self._moves[i]
         move = CoupledMove(sf, tf, num, self._den, True)
         sig, tau = move.apply(self.pair)
-        table, self._cache = self._cache, None
+        table, self._cache, self._absent = self._cache, None, None
         d = hamming(sig, tau)
         if d == 1:
             self.pair = NeighboringPair(self.g, sig, tau)
@@ -939,14 +1002,22 @@ class CoupledWalk:
             pre_stop_tau=self.pair.tau,
             pre_stop=self.pair,
             pre_stop_blocks=table,
+            rebuilds=self.rebuilds,
+            blocks_built=self.blocks_built,
+            blocks_reused=self.blocks_reused,
         )
 
 
 def start_walk(pair: NeighboringPair, probs: FlipProbabilities) -> CoupledWalk:
     """A walk at pair, with no generator, whose table one full rebuild has
-    built: the start that CoupledWalk(pair, probs, rng, start) copies."""
+    built, and which holds the absent entry of every color outside {s, t}:
+    the start that CoupledWalk(pair, probs, rng, start) copies."""
     walk = CoupledWalk(pair, probs, None)
     walk._rebuild()
+    absent = walk._absent
+    for i, c in enumerate(_block_keys(pair)[:-1]):
+        if absent[i] is None:
+            absent[i] = walk._absent_entry(c)
     return walk
 
 

@@ -5,11 +5,18 @@ Replicas are independent: replica i draws from a Philox stream keyed by
 aggregated in replica order.  Identical configs therefore produce
 byte-identical reports regardless of worker count.  Every command runs
 its replicas through one harness (_replicas), which sets the experiment's
-context (the resolved pair and vector, seed, step cap, tracked color and
-the start walk every replica copies) before its forked workers start, so
-they inherit it; worker count 0 means automatic, and without fork
-replicas run in-process.  A replica that exceeds the step cap is in the
-CSV and counted in exceeded_cap, but left out of every metric.
+context (the resolved pair and vector, seed, step cap, tracked color,
+the start walk every replica copies, and one Philox generator) before
+its forked workers start, so they inherit it; worker count 0 means
+automatic, and without fork replicas run in-process.  Each replica
+re-keys the context's generator to the start of its own stream
+(_rekeyed), which gives the stream a new generator keyed (seed, i) gives
+(_replica_rng, the reference the tests compare against); a forked worker
+re-keys its own copy.  A replica that exceeds the step cap is in the CSV
+and counted in exceeded_cap, but left out of every metric.  Each replica
+returns its walk's work counters next to its row; the harness strips
+them from the rows and sums them into RunStats, which the CLI writes to
+its --stats sidecar and which never enters a report or CSV.
 
 Each report carries normal-approximation 95% confidence intervals and,
 where a single-step quantity has an exact enumeration counterpart
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -108,6 +116,8 @@ class ExperimentReport:
     exact: dict[str, str] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
+    # how the replicas ran; never written into the report
+    stats: Optional[RunStats] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -153,12 +163,62 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """Where one experiment's replica run went, summed over its replicas
+    and workers: the `sim --stats` sidecar.  wall_s times the run from the
+    start walk's build to the last row; it varies from run to run, so none
+    of this enters the report or the CSV.  A couple or gamma replica that
+    exceeds the step cap adds its steps alone: its walk, and with it the
+    walk's other counters, ends with the CapacityError."""
+
+    wall_s: float
+    replicas: int
+    steps: int
+    rebuilds: int
+    blocks_built: int
+    blocks_reused: int
+    workers: int
+    cap_overruns: int
+
+    def to_json(self) -> str:
+        wall = self.wall_s
+        payload = {
+            "wall_s": wall,
+            "replicas": self.replicas,
+            "replicas_per_s": self.replicas / wall if wall else 0.0,
+            "steps": self.steps,
+            "steps_per_s": self.steps / wall if wall else 0.0,
+            "rebuilds": self.rebuilds,
+            "blocks_built": self.blocks_built,
+            "blocks_reused": self.blocks_reused,
+            "workers": self.workers,
+            "cap_overruns": self.cap_overruns,
+        }
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     # An explicit uint64 key: a Python list would be cast through float64
     # once seed >= 2**63 and alias neighboring seeds.
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
     )
+
+
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _rekeyed(rng: np.random.Generator, seed: int, replica: int) -> np.random.Generator:
+    """rng, a Philox generator, set to the start of replica's stream: the
+    state _replica_rng(seed, replica) starts in (counter 0, an empty
+    buffer and no spare 32-bit half), without building a new generator."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": np.array([seed, replica], dtype=np.uint64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +235,10 @@ class _Context:
     step_cap: int
     color: Optional[int]
     start: CoupledWalk
+    # the one generator every replica re-keys (_rekeyed); a forked worker
+    # re-keys its own copy
+    rng: np.random.Generator = field(
+        default_factory=lambda: _replica_rng(0, 0), compare=False, repr=False)
 
 
 # The running experiment's context, set by _replicas and None between
@@ -182,56 +246,71 @@ class _Context:
 _CONTEXT: Optional[_Context] = None
 
 
-def _couple_replica(replica: int) -> tuple:
+def _couple_replica(replica: int) -> tuple[tuple, tuple[int, int, int, int]]:
     ctx = _CONTEXT
-    rng = _replica_rng(ctx.seed, replica)
+    rng = _rekeyed(ctx.rng, ctx.seed, replica)
     try:
         rec = variable_length_coupling(ctx.pair, ctx.probs, rng, ctx.step_cap, start=ctx.start)
     except CapacityError:
-        return (0, 1, 1, 0, 0)
+        # the walk ran step_cap steps; its other counters went with it
+        return (0, 1, 1, 0, 0), (ctx.step_cap, 0, 0, 0)
     counts = state_counts(rec.pre_stop, rec.pre_stop_blocks)
-    return (rec.t_stop, rec.final_distance, 0, counts.n_bad, counts.n_good)
+    return ((rec.t_stop, rec.final_distance, 0, counts.n_bad, counts.n_good),
+            (rec.t_stop, rec.rebuilds, rec.blocks_built, rec.blocks_reused))
 
 
 _COUPLE_HEADER = ("t_stop", "final_distance", "exceeded_cap", "n_bad_pre", "n_good_pre")
 
 
-def _stage_replica(replica: int) -> tuple:
+def _stage_replica(replica: int) -> tuple[tuple, tuple[int, int, int, int]]:
     ctx = _CONTEXT
-    walk = CoupledWalk(ctx.pair, ctx.probs, _replica_rng(ctx.seed, replica), ctx.start)
+    walk = CoupledWalk(ctx.pair, ctx.probs, _rekeyed(ctx.rng, ctx.seed, replica), ctx.start)
     try:
         result = walk_stages(walk, ctx.color, ctx.step_cap)
     except CapacityError:
-        return (0, 0, 1)
-    return (1 if result.outcome == Stage.GOOD_END else 0, result.steps, 0)
+        return (0, 0, 1), _walk_counts(walk)
+    return (1 if result.outcome == Stage.GOOD_END else 0, result.steps, 0), _walk_counts(walk)
 
 
-def _map_replicas(config: ExperimentConfig, fn) -> list[tuple]:
+def _walk_counts(walk: CoupledWalk) -> tuple[int, int, int, int]:
+    """The work counters a replica returns next to its row."""
+    return (walk.steps, walk.rebuilds, walk.blocks_built, walk.blocks_reused)
+
+
+def _map_replicas(config: ExperimentConfig, fn) -> tuple[list, int]:
+    """fn of every replica, in replica order, and the number of processes
+    that ran them."""
     # a pool larger than the replica count would only start idle workers
     workers = min(config.workers or min(os.cpu_count() or 1, 8), config.replicas)
     if workers <= 1 or config.replicas < 64 or not hasattr(os, "fork"):
-        return [fn(i) for i in range(config.replicas)]
+        return [fn(i) for i in range(config.replicas)], 1
     import multiprocessing as mp
 
     with mp.get_context("fork").Pool(workers) as pool:
         chunk = max(1, config.replicas // (workers * 8))
-        return list(pool.imap(fn, range(config.replicas), chunksize=chunk))
+        return list(pool.imap(fn, range(config.replicas), chunksize=chunk)), workers
 
 
 def _replicas(config: ExperimentConfig, pair: NeighboringPair, probs: FlipProbabilities, fn,
               header: tuple[str, ...], csv_path: Optional[str],
-              color: Optional[int] = None) -> tuple[list[tuple], int]:
+              color: Optional[int] = None) -> tuple[list[tuple], int, RunStats]:
     """Run fn on every replica from (pair, probs): the rows of the
-    replicas that stopped within the cap, and how many did not (a row's
-    third field is exceeded_cap).  Writes every row to csv_path if given."""
+    replicas that stopped within the cap, how many did not (a row's third
+    field is exceeded_cap), and the run's stats, summed from the counters
+    each replica returns next to its row.  Writes every row to csv_path
+    if given."""
     global _CONTEXT
     create_output(csv_path)
     step_cap = config.step_cap or 100 * pair.graph.n * pair.k
+    began = time.perf_counter()
     _CONTEXT = _Context(pair, probs, config.seed, step_cap, color, start_walk(pair, probs))
     try:
-        rows = _map_replicas(config, fn)
+        results, workers = _map_replicas(config, fn)
     finally:
         _CONTEXT = None
+    wall = time.perf_counter() - began
+    rows = [row for row, _ in results]
+    steps, rebuilds, built, reused = (sum(col) for col in zip(*(n for _, n in results)))
     if csv_path:
         import csv
 
@@ -240,7 +319,9 @@ def _replicas(config: ExperimentConfig, pair: NeighboringPair, probs: FlipProbab
             writer.writerow(("replica",) + header)
             writer.writerows((i,) + row for i, row in enumerate(rows))
     done = [r for r in rows if r[2] == 0]
-    return done, len(rows) - len(done)
+    capped = len(rows) - len(done)
+    return done, capped, RunStats(wall, len(rows), steps, rebuilds, built, reused, workers,
+                                  capped)
 
 
 def _params(config: ExperimentConfig, pair: NeighboringPair) -> dict:
@@ -265,9 +346,11 @@ def run_coupling_experiment(
     n, k, d = pair.graph.n, pair.k, pair.graph.degree(pair.v)
     if k < d + 2:
         raise InputError(f"need k >= d + 2, got k={k}, d={d}")
-    done, capped = _replicas(config, pair, probs, _couple_replica, _COUPLE_HEADER, csv_path)
+    done, capped, stats = _replicas(config, pair, probs, _couple_replica, _COUPLE_HEADER,
+                                    csv_path)
     report = ExperimentReport(kind="couple", params=_params(config, pair),
-                              counts={"exceeded_cap": capped, "completed": len(done)})
+                              counts={"exceeded_cap": capped, "completed": len(done)},
+                              stats=stats)
     if done:
         t_stops = [r[0] for r in done]
         finals = [r[1] for r in done]
@@ -312,10 +395,10 @@ def run_stage_experiment(
     if classify_color(pair, color) is not StateLabel.BAD:
         raise InputError(f"start pair is not in the Bad configuration at color {color}")
     n, k, d = pair.graph.n, pair.k, pair.graph.degree(pair.v)
-    done, capped = _replicas(config, pair, probs, _stage_replica,
-                             ("good_end", "steps", "exceeded_cap"), csv_path, color)
+    done, capped, stats = _replicas(config, pair, probs, _stage_replica,
+                                    ("good_end", "steps", "exceeded_cap"), csv_path, color)
     report = ExperimentReport(kind="stages", params={**_params(config, pair), "color": color},
-                              counts={"exceeded_cap": capped})
+                              counts={"exceeded_cap": capped}, stats=stats)
     if done:
         report.metrics["p_good_end"] = MetricSummary.from_values([r[0] for r in done])
         report.metrics["steps"] = MetricSummary.from_values([r[1] for r in done])
@@ -345,9 +428,11 @@ def estimate_gamma_empirical(
     probs = config.resolve_probs()
     # the bound needs k > d + 2: fail before any replica runs
     gamma, _ = gamma_bound(pair.k, pair.graph.degree(pair.v), probs.mass(2))
-    done, capped = _replicas(config, pair, probs, _couple_replica, _COUPLE_HEADER, csv_path)
+    done, capped, stats = _replicas(config, pair, probs, _couple_replica, _COUPLE_HEADER,
+                                    csv_path)
     report = ExperimentReport(kind="gamma", params=_params(config, pair),
-                              counts={"exceeded_cap": capped, "completed": len(done)})
+                              counts={"exceeded_cap": capped, "completed": len(done)},
+                              stats=stats)
     if not done:
         report.checks["ratio_below_gamma_bound"] = False
         return report

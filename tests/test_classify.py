@@ -19,7 +19,12 @@ from flipdyn import (
     stage_walk,
     state_counts,
 )
-from flipdyn.classify import stage_update
+import flipdyn.coupling as coupling
+from flipdyn.classify import StateCounts, stage_update
+from flipdyn.coupling import CoupledWalk, start_walk, variable_length_coupling
+from flipdyn.experiments import ExperimentConfig, _replica_rng, run_stage_experiment
+
+from conftest import neighboring_pairs, small_graph_corpus
 
 F = Fraction
 
@@ -88,6 +93,94 @@ class TestStateCounts:
         assert counts.n_good == 2
         assert counts.n_bad == 0
         assert counts.n_absent == 1
+
+
+def counted_labels(pair, blocks=None):
+    """state_counts as a count of classify_color's label per color."""
+    labels = [classify_color(pair, c, blocks) for c in range(pair.k)]
+    return StateCounts(n_sing=labels.count(StateLabel.SING), n_bad=labels.count(StateLabel.BAD),
+                       n_good=labels.count(StateLabel.GOOD),
+                       n_absent=labels.count(StateLabel.ABSENT))
+
+
+class TestStateCountsOnePass:
+    """state_counts, one pass over the neighbor counts, gives the counts
+    of classify_color's labels."""
+
+    def test_small_corpus(self):
+        checked = 0
+        for g in small_graph_corpus():
+            for k in (2, 3, 4):
+                for pair in neighboring_pairs(g, k, ordered=False):
+                    assert state_counts(pair) == counted_labels(pair), pair
+                    checked += 1
+        assert checked == 22486
+
+    def test_pre_stop_records(self):
+        probs = mixed_vector()
+        n_bad = 0
+        for index in (1, 2, 3, 4):
+            pair = build_construction(ConstructionSpec(index, 6, 11))
+            start = start_walk(pair, probs)
+            for r in range(200):
+                rec = variable_length_coupling(pair, probs, _replica_rng(1000 + index, r),
+                                               start=start)
+                pre, table = rec.pre_stop, rec.pre_stop_blocks
+                counts = state_counts(pre, table)
+                assert counts == counted_labels(pre, table) == counted_labels(pre), (index, r)
+                assert state_counts(pre) == counts
+                n_bad += counts.n_bad
+        assert n_bad > 0
+
+
+def kept_block_labels(seeds):
+    """Walk from constructions 1-4 at d=6, k=11 and, after every step that
+    is not a move of D, compare each color's label read from the blocks
+    the walk keeps with a fresh search.  Returns how many labels differ
+    and how many generic blocks the kept table held for a color two
+    neighbors carry (which classify_color then reads instead of
+    searching)."""
+    probs = mixed_vector()
+    differ = read = 0
+    for index in (1, 2, 3, 4):
+        pair = build_construction(ConstructionSpec(index, 6, 11))
+        start = start_walk(pair, probs)
+        for seed in seeds:
+            walk = CoupledWalk(pair, probs, np.random.default_rng(seed), start)
+            while walk._final is None and walk.steps < 2000:
+                move = walk.step()
+                if move is not None and move.terminating:
+                    continue
+                p, kept = walk.pair, walk._cache
+                for c in range(p.k):
+                    differ += classify_color(p, c, kept) != classify_color(p, c)
+                    if kept is not None and c not in (p.s, p.t) and p.delta(c) == 2:
+                        read += kept[coupling._generic_index(c, p.s, p.t)] is not None
+    return differ, read
+
+
+class TestStageWalkReadsKeptBlocks:
+    def test_kept_blocks_classify_as_a_fresh_search(self):
+        differ, read = kept_block_labels(range(10))
+        assert differ == 0 and read > 100
+
+    def test_a_stage_experiment_reuses_the_kept_block(self, monkeypatch):
+        # Generic blocks built by a stage experiment: the start walk's,
+        # every rebuild's, and the stage rule's searches where the walk
+        # dropped the tracked color's block.  Classifying by a fresh search
+        # after every step builds 229 more here (640).
+        built = []
+        real = coupling._GenericBlock.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(coupling._GenericBlock, "__init__", counted)
+        config = ExperimentConfig(seed=3, replicas=200, construction=ConstructionSpec(1, 6, 11),
+                                  workers=1)
+        run_stage_experiment(config, 2)
+        assert len(built) == 411
 
 
 class TestStageStepMasses:

@@ -438,6 +438,27 @@ class TestSimCommands:
         assert data["counts"]["exceeded_cap"] == 10
         assert data["checks"]["good_end_probability"] is False
 
+    @pytest.mark.parametrize("command", [["couple"], ["stages", "--color", "2"], ["gamma"]])
+    def test_stats_sidecar_leaves_the_report_and_csv_alone(self, command, tmp_path, capsys):
+        argv = ["sim", *command, "--construction", "1", "--d", "2", "--k", "6",
+                "--replicas", "80", "--seed", "8", "--step-cap", "4", "--workers", "2"]
+        outputs = []
+        for extra in ([], ["--stats", str(tmp_path / "stats.json")]):
+            for fmt in ([], ["--json"]):
+                csv = tmp_path / "rows.csv"
+                code, out, err = run(argv + fmt + ["--csv", str(csv)] + extra, capsys)
+                outputs.append((code, out, err, csv.read_text()))
+        assert outputs[:2] == outputs[2:]
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        report = json.loads(outputs[1][1])
+        assert set(stats) == {"wall_s", "replicas", "replicas_per_s", "steps", "steps_per_s",
+                              "rebuilds", "blocks_built", "blocks_reused", "workers",
+                              "cap_overruns"}
+        assert (stats["replicas"], stats["workers"]) == (80, 2)
+        assert stats["cap_overruns"] == report["counts"]["exceeded_cap"] > 0
+        assert stats["steps"] >= 80 and stats["blocks_built"] > 0 and stats["wall_s"] > 0
+        assert stats["replicas_per_s"] == pytest.approx(80 / stats["wall_s"])
+
     def test_construction_needs_d_and_k(self, capsys):
         code, _, err = run(
             ["sim", "couple", "--construction", "2", "--replicas", "10"], capsys
@@ -552,6 +573,24 @@ class TestUnwritableOutput:
             capsys,
         )
         assert code == 2
+        assert f"input error: cannot write {path}" in err
+
+
+    @pytest.mark.parametrize("command", [["couple"], ["stages", "--color", "2"], ["gamma"]])
+    def test_sim_stats_fails_before_any_replica(self, command, tmp_path, capsys, monkeypatch):
+        import flipdyn.experiments as experiments
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("replicas ran before the stats path was checked")
+
+        monkeypatch.setattr(experiments, "_map_replicas", no_replicas)
+        path = str(tmp_path / "missing" / "stats.json")
+        code, out, err = run(
+            ["sim", *command, "--construction", "1", "--d", "2", "--k", "6",
+             "--replicas", "10", "--stats", path],
+            capsys,
+        )
+        assert (code, out) == (2, "")
         assert f"input error: cannot write {path}" in err
 
 

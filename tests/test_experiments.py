@@ -6,9 +6,11 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flipdyn.classify as classify
+import flipdyn.coupling as coupling
 import flipdyn.experiments as experiments
 from flipdyn import (
     Coloring,
@@ -291,3 +293,80 @@ class TestGammaExperiment:
         ).to_json()
         assert ra == rb
         assert Path(a).read_text() == Path(b).read_text()
+
+
+def walk_batches(rng, n, k):
+    """The three batches a walk's refill draws, in its order."""
+    size = coupling._BATCH
+    return rng.integers(n, size=size), rng.integers(k, size=size), rng.random(size=size)
+
+
+class TestReplicaGenerator:
+    """Each replica re-keys the experiment's one generator to the stream
+    a fresh Philox keyed (seed, replica) gives."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_rekeyed_equals_a_fresh_philox(self, seed):
+        rng = experiments._replica_rng(7, 7)
+        for replica in range(6):
+            got = walk_batches(experiments._rekeyed(rng, seed, replica), 19, 11)
+            fresh = np.random.Generator(
+                np.random.Philox(key=np.array([seed, replica], dtype=np.uint64)))
+            want = walk_batches(fresh, 19, 11)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), replica
+            # leave half of a 64-bit draw spare, as a replica may: the next
+            # re-key must not hand it out
+            while not rng.bit_generator.state["has_uint32"]:
+                rng.integers(10, size=1)
+
+    def test_each_context_has_its_own_generator(self):
+        a, b = (experiments._Context(None, None, 0, 1, None, None) for _ in range(2))
+        assert a.rng is not b.rng
+
+
+class TestRunStats:
+    """The counters each replica returns next to its row, summed by the
+    harness; the rows, report and CSV are as without them."""
+
+    @pytest.mark.parametrize("run", ["couple", "stages"])
+    def test_counters_sum_the_replicas_walks(self, run):
+        from flipdyn.coupling import CoupledWalk, start_walk
+
+        config = ExperimentConfig(seed=9, replicas=30, construction=ConstructionSpec(1, 2, 6),
+                                  workers=1)
+        pair, probs = config.resolve_pair(), config.resolve_probs()
+        if run == "couple":
+            report = run_coupling_experiment(config)
+        else:
+            report = run_stage_experiment(config, 2)
+        start = start_walk(pair, probs)
+        cap = 100 * pair.graph.n * pair.k
+        want = [0, 0, 0, 0]
+        for r in range(30):
+            walk = CoupledWalk(pair, probs, experiments._replica_rng(9, r), start)
+            if run == "couple":
+                walk.run_until_distance_change(cap)
+            else:
+                classify.walk_stages(walk, 2, cap)
+            for i, n in enumerate(experiments._walk_counts(walk)):
+                want[i] += n
+        stats = report.stats
+        assert (stats.steps, stats.rebuilds, stats.blocks_built, stats.blocks_reused) == tuple(want)
+        assert (stats.replicas, stats.workers, stats.cap_overruns) == (30, 1, 0)
+        assert stats.rebuilds > 0 and stats.wall_s > 0
+        data = json.loads(stats.to_json())
+        assert set(data) == {"wall_s", "replicas", "replicas_per_s", "steps", "steps_per_s",
+                             "rebuilds", "blocks_built", "blocks_reused", "workers",
+                             "cap_overruns"}
+        assert data["steps_per_s"] == pytest.approx(data["steps"] / data["wall_s"])
+
+    def test_pool_workers_and_overruns_are_counted(self):
+        config = cfg(replicas=100, step_cap=2, workers=2)
+        rep = run_coupling_experiment(config)
+        one = run_coupling_experiment(cfg(replicas=100, step_cap=2, workers=1))
+        assert rep.stats.workers == 2 and one.stats.workers == 1
+        assert rep.stats.cap_overruns == rep.counts["exceeded_cap"] > 0
+        assert rep.to_json() == one.to_json()
+        counters = ("steps", "rebuilds", "blocks_built", "blocks_reused", "cap_overruns")
+        assert ([getattr(rep.stats, n) for n in counters]
+                == [getattr(one.stats, n) for n in counters])
