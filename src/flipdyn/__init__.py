@@ -18,7 +18,6 @@ from .classify import (
     classify_color,
     gamma_bound,
     stage_step_masses,
-    stage_walk,
     state_counts,
 )
 from .constructions import (
@@ -31,7 +30,6 @@ from .coupling import (
     CouplingDistribution,
     Signature,
     TerminationRecord,
-    difference_sets,
     expected_distance_change,
     greedy_coupling_distribution,
     signature,
@@ -117,7 +115,6 @@ __all__ = [
     "build_tight_lp",
     "build_vigoda_lp",
     "classify_color",
-    "difference_sets",
     "estimate_gamma_empirical",
     "expected_distance_change",
     "flip_step",
@@ -142,7 +139,6 @@ __all__ = [
     "solve",
     "solve_float",
     "stage_step_masses",
-    "stage_walk",
     "state_counts",
     "stationary_check_tiny",
     "terminating_mass",

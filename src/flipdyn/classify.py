@@ -18,9 +18,11 @@ otherwise.  From the Good stage a terminating move ends the walk in
 GoodEnd; a non-terminating move that leaves state Good(c) (including c
 disappearing from the neighborhood) ends it in BadEnd; otherwise the Good
 stage continues.  BadEnd is absorbing.  Every draw of the dynamics counts
-as a step, including draws that flip nothing.  A stage walk classifies
-the tracked color from the block its walk still keeps for it, and
-searches only where the walk dropped that block.
+as a step, including draws that flip nothing.  walk_stages runs the
+machine on a given walk, whose start the caller has checked is Bad at c
+(experiments.run_stage_experiment refuses any other start).  It
+classifies the tracked color from the block its walk still keeps for
+it, and searches only where the walk dropped that block.
 """
 
 from __future__ import annotations
@@ -146,22 +148,6 @@ def stage_update(
 class StageWalkResult:
     outcome: Stage
     steps: int
-
-
-def stage_walk(
-    pair: NeighboringPair,
-    c: int,
-    probs: FlipProbabilities,
-    rng,
-    step_cap: Optional[int] = None,
-) -> StageWalkResult:
-    """Track color c from a Bad pair until GoodEnd or BadEnd (walk_stages
-    on a new walk); step_cap defaults to 100 * n * k."""
-    if classify_color(pair, c) != StateLabel.BAD:
-        raise InputError(f"color {c} is not Bad in the starting pair")
-    if step_cap is None:
-        step_cap = 100 * pair.graph.n * pair.k
-    return walk_stages(CoupledWalk(pair, probs, rng), c, step_cap)
 
 
 def walk_stages(walk: CoupledWalk, c: int, step_cap: int) -> StageWalkResult:

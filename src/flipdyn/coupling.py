@@ -5,9 +5,9 @@ t = tau(v), most alternating components are identical in the two
 colorings and are coupled by the identity.  The difference structure D
 collects the rest, and it splits into one block per color.  The block
 classes below are the only place that knows the shape of D; moves, the
-sigma-side flips of D, difference_sets and signatures are all read off
-them, and _blocks(pair) lists them in color order with the disagreement
-block last (the move order the walk's sampling table relies on).
+sigma-side flips of D and signatures are all read off them, and
+_block_keys(pair) orders them by color with the disagreement block last
+(the move order the walk's sampling table relies on).
 
 A color c outside {s, t} has a generic block.  With u_1 < ... < u_m the
 c-colored neighbors of v, the component of v on the sigma side
@@ -38,11 +38,11 @@ negative there).
 
 A move is terminating when one of its flips is in D: rooted at v, or the
 component of a neighbor of v flipped toward the opposite disagreement
-color (_touches_d; CoupledWalk.step applies the same rule inline to each
-draw it tests).  Non-terminating moves never change the Hamming
-distance; terminating moves may (including to 0 or above 1), but a
-terminating move can also relocate the disagreement to another vertex at
-distance 1.
+color.  Every move a block emits is, and CoupledWalk.step applies the
+rule inline to each draw it tests.  Non-terminating moves never change
+the Hamming distance; terminating moves may (including to 0 or above 1),
+but a terminating move can also relocate the disagreement to another
+vertex at distance 1.
 
 Masses are exact throughout, and integers until they are read.  Every
 move carries its mass as an integer num over den = L * n * k, with
@@ -92,15 +92,10 @@ from .graphs import (
 # A flip is (vertex set, low color, high color); None stands for "no flip
 # on this side".
 Flip = tuple[frozenset[int], int, int]
-Entries = list[tuple[str, Optional[Flip]]]
 # A move of D as a block emits it: (sigma flip, tau flip, num), with num
 # the move's mass times probs.scale * n * k, an integer.
 RawMove = tuple[Optional[Flip], Optional[Flip], int]
 _EMPTY: frozenset[int] = frozenset()
-
-
-def _mk_flip(vertices: frozenset[int], c1: int, c2: int) -> Flip:
-    return (vertices, min(c1, c2), max(c1, c2))
 
 
 class CoupledMove(NamedTuple):
@@ -310,15 +305,6 @@ class _GenericBlock:
                 out.append((bset, t_lo, t_hi))
         return out
 
-    def entries(self) -> dict[int, Entries]:
-        s, t, c = self.s, self.t, self.c
-        out: Entries = [("sigma:v", _mk_flip(self.sv_sigma, s, c)),
-                        ("tau:v", _mk_flip(self.sv_tau, t, c))]
-        for u, aset, bset in zip(self.u, self.a_sets, self.b_sets):
-            out.append((f"tau:u{u}", _mk_flip(aset, c, s) if aset else None))
-            out.append((f"sigma:u{u}", _mk_flip(bset, c, t) if bset else None))
-        return {c: out}
-
     def signature(self, c: int) -> Signature:
         if not self.u:
             raise InputError(
@@ -444,18 +430,6 @@ class _DisagreementBlock:
         lo, hi = (s, t) if s < t else (t, s)
         return [(self.lam, lo, hi)] + [(comp, lo, hi) for comp in self.x_sets]
 
-    def entries(self) -> dict[int, Entries]:
-        s, t = self.s, self.t
-        s_entries: Entries = [("sigma:v", None), ("tau:v", _mk_flip(self.m, s, t))]
-        for u, comp in zip(self.x, self.x_sets):
-            s_entries.append((f"tau:u{u}", None))
-            s_entries.append((f"sigma:u{u}", _mk_flip(comp, s, t)))
-        t_entries: Entries = [("sigma:v", _mk_flip(self.lam, s, t)), ("tau:v", None)]
-        for u, comp in zip(self.y, self.y_sets):
-            t_entries.append((f"tau:u{u}", _mk_flip(comp, s, t)))
-            t_entries.append((f"sigma:u{u}", None))
-        return {s: s_entries, t: t_entries}
-
     def signature(self, c: int) -> Signature:
         v = self.v
         if c == self.s:
@@ -492,26 +466,6 @@ def _block_keys(pair: NeighboringPair) -> list[int]:
 def _generic_index(c: int, s: int, t: int) -> int:
     """The index in _block_keys of a color c outside {s, t}."""
     return c - (c > s) - (c > t)
-
-
-def _blocks(pair: NeighboringPair) -> list[Block]:
-    """Every block of D: the generic ones in color order, then s and t."""
-    return [_block(pair, c) for c in _block_keys(pair)]
-
-
-def difference_sets(pair: NeighboringPair) -> dict[int, Entries]:
-    """The difference structure D as labeled flips per color.
-
-    For each color c the list holds ("sigma:v" / "tau:v") entries for the
-    two v-rooted components and ("sigma:u<i>" / "tau:u<i>") entries for
-    the per-neighbor block components (empty components appear as None).
-    The nonempty flips across all colors are exactly the components
-    coupled non-identically.
-    """
-    out: dict[int, Entries] = {}
-    for blk in _blocks(pair):
-        out.update(blk.entries())
-    return out
 
 
 def signature(pair: NeighboringPair, c: int,
@@ -577,7 +531,7 @@ class CouplingDistribution:
 def _difference_raw(
     pair: NeighboringPair, probs: FlipProbabilities
 ) -> tuple[list[RawMove], set[Flip]]:
-    """All non-identity moves as blocks emit them, in _blocks order, plus
+    """All non-identity moves as blocks emit them, in _block_keys order, plus
     the sigma-side flip identities in D."""
     moves: list[RawMove] = []
     sigma_labels: set[Flip] = set()
@@ -591,16 +545,6 @@ def _difference_raw(
     moves += blk.moves(probs)
     sigma_labels.update(blk.sigma_flips())
     return moves, sigma_labels
-
-
-def _difference_moves(
-    pair: NeighboringPair, probs: FlipProbabilities
-) -> tuple[list[CoupledMove], set[Flip]]:
-    """All non-identity moves with their exact masses, plus the
-    sigma-side flip identities in D."""
-    den = probs.scale * pair.graph.n * pair.k
-    moves, sigma_labels = _difference_raw(pair, probs)
-    return [CoupledMove(sf, tf, num, den, True) for sf, tf, num in moves], sigma_labels
 
 
 # The sigma side's identity moves for the last (graph, sigma, probs) that
@@ -658,35 +602,6 @@ def greedy_coupling_distribution(
     if used > den:
         raise InvariantError("coupled move masses exceed 1")
     return CouplingDistribution(moves=tuple(moves), den=den)
-
-
-def _touches_d(pair: NeighboringPair, f: Flip, toward: int, cols: tuple[int, ...]) -> bool:
-    """Whether flip f, on the side colored cols, is in D.
-
-    It is when its component holds v, or when it recolors a neighbor of v
-    toward `toward`, the other side's disagreement color.
-    """
-    comp, lo, hi = f
-    v = pair.v
-    if v in comp:
-        return True
-    if toward != lo and toward != hi:
-        return False
-    other = hi if lo == toward else lo
-    return any(cols[u] == other for u in pair.graph.adj[v] if u in comp)
-
-
-def is_terminating(pair: NeighboringPair, move: CoupledMove) -> bool:
-    """Recompute the terminating predicate from the move's flips.
-
-    A move terminates iff its sigma flip is rooted at v or is the
-    component of a neighbor of v toward tau(v), or symmetrically for the
-    tau flip toward sigma(v).
-    """
-    sf, tf = move.sigma_flip, move.tau_flip
-    if sf is not None and _touches_d(pair, sf, pair.t, pair.sigma.colors):
-        return True
-    return tf is not None and _touches_d(pair, tf, pair.s, pair.tau.colors)
 
 
 def terminating_mass(pair: NeighboringPair, probs: FlipProbabilities) -> Fraction:
@@ -779,18 +694,18 @@ class CoupledWalk:
     which always bounds the total mass of D; the bound is checked exactly,
     in integers, at every rebuild.
 
-    A step tests and applies an identity draw itself: _touches_d's rule
-    toward t written inline, p_alpha read from the vector's float tuple.
-    It still searches through alternating_component, and still returns a
-    non-terminating CoupledMove for an identity flip, which stage_update
-    and tracers read.
+    A step tests and applies an identity draw itself: the rule for a flip
+    in D (module docstring) toward t written inline, p_alpha read from the
+    vector's float tuple.  It still searches through
+    alternating_component, and still returns a non-terminating
+    CoupledMove for an identity flip, which stage_update and tracers read.
 
     The sampling table is built from the blocks of D, which the walk keeps
     between rebuilds.  An identity flip of S between colors lo and hi
     drops only the blocks that tell lo or hi apart from other colors and
     read a vertex of S (stale_after); a move of D drops them all, since v,
     s and t may change.  A rebuild builds the dropped blocks alone, then
-    concatenates every block's moves in _blocks order.  A color outside
+    concatenates every block's moves in _block_keys order.  A color outside
     {s, t} with delta_c = 0 has the same block at every pair with the
     walk's v, s and t (both sides {v}, one coalescing move, N[v] as its
     read set), so the walk keeps one such absent entry per color
@@ -807,10 +722,12 @@ class CoupledWalk:
     first rebuild.  Given start, a walk at this very pair and vector whose
     table a full rebuild has built and which holds every absent entry
     (start_walk), it copies that table and those entries instead; the
-    blocks are never mutated, so it copies only the lists of them.  Such a
-    walk skips its first rebuild and builds no absent entry before its
-    first move of D, and its counters cover only the rebuilds it performs
-    itself: at the start every block counts as neither built nor reused.
+    blocks are never mutated, so it copies only the lists of them.  A
+    start at another pair or vector, or with no table, is an InputError.
+    Such a walk skips its first rebuild and builds no absent entry before
+    its first move of D, and its counters cover only the rebuilds it
+    performs itself: at the start every block counts as neither built nor
+    reused.
     """
 
     def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng,
@@ -845,6 +762,8 @@ class CoupledWalk:
         if start is not None:
             if start.pair is not pair or start.probs is not probs:
                 raise InputError("the start walk is at another pair or vector")
+            if start._cache is None:
+                raise InputError("the start walk has no table: build it with start_walk")
             self._cache = list(start._cache)
             self._absent = list(start._absent)
             self._moves, self._move_cum, self._q = start._moves, start._move_cum, start._q
@@ -938,8 +857,8 @@ class CoupledWalk:
         if c != cx:
             comp = alternating_component(self.g, pair.sigma, x, c)
             lo, hi = (cx, c) if cx < c else (c, cx)
-            # _touches_d toward t: the flip is in D when comp holds v, or
-            # when it recolors a neighbor of v from the other color to t
+            # the flip is in D when comp holds v, or when it recolors a
+            # neighbor of v from the other color to t
             v, t = pair.v, pair.t
             in_d = v in comp
             if not in_d and (t == lo or t == hi):

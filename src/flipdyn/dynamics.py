@@ -109,10 +109,6 @@ class FlipProbabilities:
             return self._floats[alpha - 1]
         return 0.0
 
-    def satisfies_shifted_cap(self) -> bool:
-        """True iff alpha * p_{alpha-2} <= 3 for every alpha >= 3."""
-        return all((j + 2) * self.mass(j) <= 3 for j in range(1, self.n_max + 1))
-
     @staticmethod
     def from_values(vals: Iterable[RationalLike]) -> "FlipProbabilities":
         fracs = [_to_fraction(v) for v in vals]

@@ -273,13 +273,6 @@ class NeighboringPair:
             raise InputError(f"color {c} out of range")
         return self._delta[c]
 
-    def neighbors_colored(self, c: int) -> tuple[int, ...]:
-        """Neighbors of v colored c, in increasing vertex order."""
-        return tuple(u for u in self.graph.adj[self.v] if self.sigma.colors[u] == c)
-
-    def is_proper_pair(self) -> bool:
-        return is_proper(self.graph, self.sigma) and is_proper(self.graph, self.tau)
-
     def __repr__(self):
         return f"NeighboringPair(v={self.v}, s={self.s}, t={self.t}, n={self.graph.n})"
 

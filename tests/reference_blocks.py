@@ -8,20 +8,35 @@ so far for one that holds it, and its moves() call mass_scaled and _emit
 once per mass.  flipdyn.coupling now builds a generic block in one pass
 and writes its min split inline, and its _neighbor_components scans in a
 plain loop, so every block there must report these exact moves, sigma
-flips, draws, visited sets, entries and signatures.  Only tests import
-it.
+flips, draws, visited sets and signatures.
+
+The reference also keeps the labeled view of D that the library no
+longer carries: each block's entries() and their fold over the pair's
+blocks, difference_sets, which the coupling golden digests.  Only tests
+import it.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from flipdyn.coupling import Entries, Flip, RawMove, Signature, _mk_flip
+from flipdyn.coupling import Flip, RawMove, Signature, _block_keys
 from flipdyn.dynamics import FlipProbabilities
 from flipdyn.errors import InputError
 from flipdyn.graphs import Coloring, Graph, NeighboringPair, alternating_component
 
+# D as labeled flips: (label, flip or None) per block component
+Entries = list[tuple[str, Optional[Flip]]]
 _EMPTY: frozenset[int] = frozenset()
+
+
+def _mk_flip(vertices: frozenset[int], c1: int, c2: int) -> Flip:
+    return (vertices, min(c1, c2), max(c1, c2))
+
+
+def neighbors_colored(pair: NeighboringPair, c: int) -> tuple[int, ...]:
+    """Neighbors of v colored c, in increasing vertex order."""
+    return tuple(u for u in pair.graph.adj[pair.v] if pair.sigma.colors[u] == c)
 
 
 def _dedup(sets: list[frozenset[int]]) -> list[frozenset[int]]:
@@ -76,7 +91,7 @@ class _GenericBlock:
             self.i_max = self.j_max = None
             return
         g = pair.graph
-        self.u = pair.neighbors_colored(c)
+        self.u = neighbors_colored(pair, c)
         self.a_sets = _neighbor_components(g, pair.tau, self.u, pair.s)[1]
         self.b_sets = _neighbor_components(g, pair.sigma, self.u, pair.t)[1]
         self.sv_sigma = v.union(*self.a_sets)
@@ -181,8 +196,8 @@ class _DisagreementBlock:
         s, t = pair.s, pair.t
         self.s, self.t, self.v = s, t, v
         self.colors = (s, t)
-        self.x = pair.neighbors_colored(s)
-        self.y = pair.neighbors_colored(t)
+        self.x = neighbors_colored(pair, s)
+        self.y = neighbors_colored(pair, t)
         self.lam = alternating_component(g, sig, v, t)
         self.m = alternating_component(g, tau, v, s)
         # the sigma-side component of each s-colored neighbor and the
@@ -279,3 +294,19 @@ def block(pair: NeighboringPair, c: int):
     if c == pair.s or c == pair.t:
         return _DisagreementBlock(pair)
     return _GenericBlock(pair, c)
+
+
+def difference_sets(pair: NeighboringPair) -> dict[int, Entries]:
+    """The difference structure D as labeled flips per color.
+
+    For each color c the list holds ("sigma:v" / "tau:v") entries for the
+    two v-rooted components and ("sigma:u<i>" / "tau:u<i>") entries for
+    the per-neighbor block components (empty components appear as None),
+    folded over the blocks in flipdyn.coupling's move order.  The nonempty
+    flips across all colors are exactly the components coupled
+    non-identically.
+    """
+    out: dict[int, Entries] = {}
+    for c in _block_keys(pair):
+        out.update(block(pair, c).entries())
+    return out

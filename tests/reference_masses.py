@@ -1,10 +1,13 @@
-"""Fraction-summing sums of the coupled and single-chain laws: the test
-oracle for the integer sums.
+"""Fraction-summing sums of the coupled and single-chain laws, and the
+terminating predicate: the test oracles for the integer sums and the
+moves' flags.
 
 These are the package's earlier sums, which added one Fraction per move
 or per flip.  CouplingDistribution and flip_step_distribution now add
 integer numerators over L * n * k and make one Fraction per value they
-return, so both must give these exact values.  Only tests import it.
+return, so both must give these exact values.  is_terminating recomputes
+a move's terminating flag from its flips, the rule CoupledWalk.step
+applies inline to each draw.  Only tests import it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 from flipdyn.graphs import enumerate_flips, hamming
+
+
+def _touches_d(pair, f, toward: int, cols: tuple[int, ...]) -> bool:
+    """Whether flip f, on the side colored cols, is in D.
+
+    It is when its component holds v, or when it recolors a neighbor of v
+    toward `toward`, the other side's disagreement color.
+    """
+    comp, lo, hi = f
+    v = pair.v
+    if v in comp:
+        return True
+    if toward != lo and toward != hi:
+        return False
+    other = hi if lo == toward else lo
+    return any(cols[u] == other for u in pair.graph.adj[v] if u in comp)
+
+
+def is_terminating(pair, move) -> bool:
+    """Recompute the terminating predicate from the move's flips.
+
+    A move terminates iff its sigma flip is rooted at v or is the
+    component of a neighbor of v toward tau(v), or symmetrically for the
+    tau flip toward sigma(v).
+    """
+    sf, tf = move.sigma_flip, move.tau_flip
+    if sf is not None and _touches_d(pair, sf, pair.t, pair.sigma.colors):
+        return True
+    return tf is not None and _touches_d(pair, tf, pair.s, pair.tau.colors)
 
 
 def coupled_sums(dist, pair) -> dict:

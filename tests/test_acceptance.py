@@ -17,6 +17,7 @@ import pytest
 
 sys.path.insert(0, str(__file__).rsplit("/", 1)[0])
 from conftest import neighboring_pairs, small_graph_corpus  # noqa: E402
+from reference_masses import is_terminating  # noqa: E402
 
 from flipdyn import (
     ConstructionSpec,
@@ -45,7 +46,6 @@ from flipdyn import (
     vigoda_vector,
 )
 from flipdyn.cli import main as cli_main
-from flipdyn.coupling import is_terminating
 from flipdyn.experiments import MetricSummary
 
 F = Fraction
@@ -118,8 +118,9 @@ def test_criterion_06_coupling_marginals_exhaustive(both_vectors):
     # graphs with at most 4 vertices, every neighboring pair with at most
     # 4 colors, and both published vectors, each marginal of the coupled
     # one-step distribution equals the single-chain distribution exactly,
-    # and every move's terminating flag matches is_terminating, which
-    # recomputes it from the move's flips.
+    # and every move's terminating flag matches is_terminating
+    # (tests/reference_masses.py), which recomputes it from the move's
+    # flips.
     def flips_only(dist):
         return {key: m for key, m in dist.items() if key is not None and m != 0}
 

@@ -16,11 +16,10 @@ from flipdyn import (
     greedy_coupling_distribution,
     mixed_vector,
     stage_step_masses,
-    stage_walk,
     state_counts,
 )
 import flipdyn.coupling as coupling
-from flipdyn.classify import StateCounts, stage_update
+from flipdyn.classify import StateCounts, stage_update, walk_stages
 from flipdyn.coupling import CoupledWalk, start_walk, variable_length_coupling
 from flipdyn.experiments import ExperimentConfig, _replica_rng, run_stage_experiment
 
@@ -213,14 +212,9 @@ class TestStageUpdate:
 
 
 class TestStageWalk:
-    def test_requires_bad_start(self):
-        pair = path_pair(2, 3, 6)
-        rng = np.random.default_rng(0)
-        with pytest.raises(InputError):
-            stage_walk(pair, 2, mixed_vector(), rng)  # Sing, not Bad
-
     def test_outcomes_and_determinism(self):
         pair = tree_pair(2, 6)
+        cap = 100 * pair.graph.n * pair.k
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(11)
@@ -228,7 +222,8 @@ class TestStageWalk:
                 [
                     (r.outcome, r.steps)
                     for r in (
-                        stage_walk(pair, 2, mixed_vector(), rng) for _ in range(50)
+                        walk_stages(CoupledWalk(pair, mixed_vector(), rng), 2, cap)
+                        for _ in range(50)
                     )
                 ]
             )
@@ -248,7 +243,7 @@ class TestStageWalk:
         good_end = 0
         for _ in range(80):
             try:
-                r = stage_walk(pair, 2, mixed_vector(), rng, step_cap=1)
+                r = walk_stages(CoupledWalk(pair, mixed_vector(), rng), 2, 1)
                 good_end += r.outcome == Stage.GOOD_END
             except CapacityError:
                 pass

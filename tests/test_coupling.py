@@ -29,7 +29,6 @@ from flipdyn import (
     greedy_coupling_distribution,
     mixed_vector,
     signature,
-    stage_walk,
     state_counts,
     terminating_mass,
     variable_length_coupling,
@@ -37,20 +36,14 @@ from flipdyn import (
 )
 import flipdyn.coupling as coupling
 from flipdyn.classify import Stage, walk_stages
-from flipdyn.coupling import (
-    CoupledWalk,
-    _difference_moves,
-    _difference_raw,
-    difference_sets,
-    is_terminating,
-    start_walk,
-)
+from flipdyn.coupling import CoupledWalk, _difference_raw, start_walk
 import flipdyn.experiments as experiments
 from flipdyn.experiments import ExperimentConfig, _replica_rng
-from flipdyn.graphs import hamming
+from flipdyn.graphs import hamming, is_proper
 
 import reference_blocks
 import reference_masses
+from reference_masses import is_terminating
 from conftest import neighboring_pairs, nonisomorphic_graphs
 
 F = Fraction
@@ -110,9 +103,10 @@ def test_marginals_exhaustive_n5(paper_vectors):
     # graphs with 5 vertices, every unordered neighboring pair with k = 2
     # or 3, and both published vectors, each marginal of the coupled
     # one-step distribution equals the single-chain law exactly, and every
-    # move's terminating flag matches is_terminating.  No color or vertex
-    # permutation is quotiented out: the coupling breaks ties by lowest
-    # index, so it is not known to be equivariant.
+    # move's terminating flag matches is_terminating (the reference in
+    # tests/reference_masses.py).  No color or vertex permutation is
+    # quotiented out: the coupling breaks ties by lowest index, so it is
+    # not known to be equivariant.
     graphs = nonisomorphic_graphs(5)
     assert len(graphs) == 34
     checked = 0
@@ -157,15 +151,6 @@ class TestSignature:
 
         with pytest.raises(InputError):
             signature(pair, 4)
-
-    def test_difference_sets_partition(self):
-        pair = star_pair(3, 5, (2, 2, 3))
-        blocks = difference_sets(pair)
-        assert set(blocks) <= set(range(5))
-        # Every sigma-side flip identity in some block touches the
-        # disagreement structure; block keys are colors.
-        for c, entries in blocks.items():
-            assert entries, f"empty block for color {c}"
 
 
 class TestTerminatingMass:
@@ -284,7 +269,7 @@ class _OneDraw:
 
 def assert_walk_d_test_matches_labels(pair):
     """For every sigma draw (x, c != sigma(x)), the walk treats the drawn
-    flip as part of D exactly when _difference_moves lists it among the
+    flip as part of D exactly when _difference_raw lists it among the
     sigma-side flips of D.
 
     Under p_alpha = 1/alpha every flip up to size n is accepted, so a
@@ -292,7 +277,7 @@ def assert_walk_d_test_matches_labels(pair):
     the first (terminating) move of D for a draw inside it.
     """
     probs = FlipProbabilities.from_values([F(1, a) for a in range(1, pair.graph.n + 1)])
-    _, labels = _difference_moves(pair, probs)
+    _, labels = _difference_raw(pair, probs)
     cols = pair.sigma.colors
     for x in range(pair.graph.n):
         for c in range(pair.k):
@@ -352,6 +337,11 @@ def bounded_degree_pairs(draw, proper: bool, n_max: int = 10, k_max: int = 8):
     return NeighboringPair(g, sigma, sigma.recolor({v: t}))
 
 
+def blocks_of(pair):
+    """The library's blocks of pair, one per _block_keys color."""
+    return [coupling._block(pair, c) for c in coupling._block_keys(pair)]
+
+
 def generic_component_mismatches(pair):
     """The generic blocks of pair whose v-rooted components, built from
     their entries, differ from a fresh search: S_sigma(v,c) on the sigma
@@ -359,7 +349,7 @@ def generic_component_mismatches(pair):
     g, v = pair.graph, pair.v
     return sum((blk.sv_sigma, blk.sv_tau) != (alternating_component(g, pair.sigma, v, blk.c),
                                               alternating_component(g, pair.tau, v, blk.c))
-               for blk in coupling._blocks(pair) if isinstance(blk, coupling._GenericBlock))
+               for blk in blocks_of(pair) if isinstance(blk, coupling._GenericBlock))
 
 
 def check_block_properties(pair, probs):
@@ -369,7 +359,7 @@ def check_block_properties(pair, probs):
     draw count against its distinct sigma flips."""
     assert generic_component_mismatches(pair) == 0
     den = probs.scale * pair.graph.n * pair.k
-    for blk in coupling._blocks(pair):
+    for blk in blocks_of(pair):
         cached = coupling._CachedBlock(blk, pair.graph, probs, den)
         assert cached.draws == sum(len(f[0]) for f in set(blk.sigma_flips()))
     dist = greedy_coupling_distribution(pair, probs)
@@ -383,7 +373,7 @@ def check_block_properties(pair, probs):
     )
     for m in dist.moves:
         assert m.terminating == is_terminating(pair, m)
-    assert set(difference_sets(pair)) == set(range(pair.k))
+    assert set(reference_blocks.difference_sets(pair)) == set(range(pair.k))
     for c in range(pair.k):
         try:
             signature(pair, c)
@@ -398,7 +388,7 @@ class TestBlockProperties:
     @PROPERTY_SETTINGS
     @given(pair=bounded_degree_pairs(proper=True), vec=st.sampled_from(sorted(VECTORS)))
     def test_proper_pairs(self, pair, vec):
-        assert pair.is_proper_pair()
+        assert is_proper(pair.graph, pair.sigma) and is_proper(pair.graph, pair.tau)
         check_block_properties(pair, VECTORS[vec])
 
     @PROPERTY_SETTINGS
@@ -414,26 +404,18 @@ class TestBlockProperties:
     @PROPERTY_SETTINGS
     @given(pair=bounded_degree_pairs(proper=False))
     def test_disagreement_entries_are_alternating_components(self, pair):
-        """The disagreement block's entries are the generic block's
-        formulas at c = s and c = t: S_tau(v,s) and S_sigma(x,t) for the
-        s-colored neighbors x on the s side, S_sigma(v,t) and S_tau(y,s)
-        for the t-colored neighbors y on the t side, None opposite."""
+        """The disagreement block's components are the generic block's
+        formulas at c = s and c = t: lam = S_sigma(v,t), m = S_tau(v,s),
+        S_sigma(x,t) for each s-colored neighbor x and S_tau(y,s) for each
+        t-colored neighbor y, in vertex order."""
         g, sig, tau, v, s, t = pair.graph, pair.sigma, pair.tau, pair.v, pair.s, pair.t
-
-        def fl(comp):
-            return coupling._mk_flip(comp, s, t)
-
-        d = difference_sets(pair)
-        want_s = [("sigma:v", None), ("tau:v", fl(alternating_component(g, tau, v, s)))]
-        for x in pair.neighbors_colored(s):
-            want_s += [(f"tau:u{x}", None),
-                       (f"sigma:u{x}", fl(alternating_component(g, sig, x, t)))]
-        want_t = [("sigma:v", fl(alternating_component(g, sig, v, t))), ("tau:v", None)]
-        for y in pair.neighbors_colored(t):
-            want_t += [(f"tau:u{y}", fl(alternating_component(g, tau, y, s))),
-                       (f"sigma:u{y}", None)]
-        assert d[s] == want_s
-        assert d[t] == want_t
+        blk = coupling._block(pair, s)
+        xs = [u for u in g.adj[v] if sig.colors[u] == s]
+        ys = [u for u in g.adj[v] if sig.colors[u] == t]
+        assert blk.lam == alternating_component(g, sig, v, t)
+        assert blk.m == alternating_component(g, tau, v, s)
+        assert blk.x_sets == [alternating_component(g, sig, x, t) for x in xs]
+        assert blk.y_sets == [alternating_component(g, tau, y, s) for y in ys]
 
     def test_a_tau_side_built_from_the_a_entries_is_caught(self, monkeypatch):
         build = coupling._GenericBlock.__init__
@@ -557,13 +539,14 @@ def walk_cache_mismatches(pair, probs, seed, step_cap=300):
         assert_pair_is_fresh(walk.pair)
         if walk._cache is None or None in walk._cache:
             walk._rebuild()
-        fresh, labels = _difference_moves(walk.pair, probs)
+        raw, labels = _difference_raw(walk.pair, probs)
+        den = probs.scale * walk.pair.graph.n * walk.pair.k
+        fresh = [(sf, tf, F(num, den)) for sf, tf, num in raw]
         cached = [(sf, tf, F(num, walk._den)) for sf, tf, num in walk._moves]
         q = (walk.n + sum(len(f[0]) for f in labels)) / walk.nk
-        cum = list(itertools.accumulate(float(m.mass) for m in fresh))
+        cum = list(itertools.accumulate(float(mass) for *_, mass in fresh))
         checked += 1
-        if (cached != [(m.sigma_flip, m.tau_flip, m.mass) for m in fresh]
-                or walk._q != q or walk._move_cum != cum):
+        if cached != fresh or walk._q != q or walk._move_cum != cum:
             return checked, True
         if walk.steps >= step_cap:
             return checked, False
@@ -685,7 +668,8 @@ def shared_start_mismatches(seeds):
                                  np.random.default_rng(seed), start=start)
                 differ += shared != lazy
                 for c in bad:
-                    lazy = stage_walk(pair, c, probs, np.random.default_rng(seed))
+                    lazy = walk_stages(CoupledWalk(pair, probs, np.random.default_rng(seed)),
+                                       c, cap)
                     walk = CoupledWalk(pair, probs, np.random.default_rng(seed), start)
                     differ += outcome(walk_stages, walk, c, cap) != lazy
     return differ
@@ -718,7 +702,7 @@ def context_mismatches(replicas=4):
             for c in bad:
                 want = []
                 for r in range(replicas):
-                    res = stage_walk(pair, c, probs, _replica_rng(5, r))
+                    res = walk_stages(CoupledWalk(pair, probs, _replica_rng(5, r)), c, cap)
                     want.append((int(res.outcome == Stage.GOOD_END), res.steps, 0))
                 got = outcome(experiments._replicas, config, pair, probs,
                               experiments._stage_replica, (), None, c)
@@ -743,6 +727,16 @@ class TestSharedStart:
                 variable_length_coupling(other, probs, np.random.default_rng(0), start=start)
         with pytest.raises(InputError, match="start walk"):
             CoupledWalk(pair, mixed_vector(), np.random.default_rng(0), start)
+
+    def test_a_start_walk_with_no_table_is_refused(self):
+        # a walk at the same pair and vector that never rebuilt has no
+        # table to copy
+        pair, probs = build_construction(ConstructionSpec(1, 6, 11)), mixed_vector()
+        unbuilt = CoupledWalk(pair, probs, np.random.default_rng(0))
+        with pytest.raises(InputError, match="no table"):
+            CoupledWalk(pair, probs, np.random.default_rng(1), unbuilt)
+        with pytest.raises(InputError, match="no table"):
+            variable_length_coupling(pair, probs, np.random.default_rng(1), start=unbuilt)
 
     def test_each_experiment_gets_its_own_context(self):
         assert context_mismatches() == 0
@@ -897,7 +891,7 @@ def walk_pairs(pair, probs, seeds, step_cap=300):
 def block_mismatches(pair, probs):
     """The colors whose block differs from the two-pass reference in
     anything it reports: moves (order, flips and num), sigma flips, draws,
-    visited, entries and the signature of each color it holds (or the
+    visited and the signature of each color it holds (or the
     error that raises), and, as the walk keeps it, reads, moves, floats,
     total and draws."""
     g = pair.graph
@@ -909,10 +903,10 @@ def block_mismatches(pair, probs):
         moves = ref.moves(probs)
         vis = ref.visited()
         cached = coupling._CachedBlock(blk, g, probs, den)
-        got = (blk.moves(probs), blk.sigma_flips(), blk.draws(), blk.visited(), blk.entries(),
+        got = (blk.moves(probs), blk.sigma_flips(), blk.draws(), blk.visited(),
                [outcome(blk.signature, h) for h in held],
                cached.reads, cached.moves, cached.floats, cached.total, cached.draws)
-        want = (moves, ref.sigma_flips(), ref.draws(), vis, ref.entries(),
+        want = (moves, ref.sigma_flips(), ref.draws(), vis,
                 [outcome(ref.signature, h) for h in held],
                 vis.union(*(g.adj[w] for w in vis)), moves, [num / den for *_, num in moves],
                 sum(num for *_, num in moves), ref.draws())

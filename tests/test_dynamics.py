@@ -87,13 +87,13 @@ class TestFlipProbabilities:
     def test_shifted_cap(self):
         # The constructor caps j * p_j <= 1 already imply the shifted cap
         # (j + 2) * p_j <= 3 ((j+2)/j <= 3 for j >= 1), so every vector
-        # that constructs must report True -- including the extremal
+        # that constructs must satisfy it -- including the extremal
         # all-caps-tight vector where 3 * p_1 = 3 exactly.
         tight = FlipProbabilities.from_values(
             ["1", "1/2", "1/3", "1/4", "1/5", "1/6", "1/7"]
         )
         for v in (mixed_vector(), vigoda_vector(), alt_vector(), tight):
-            assert v.satisfies_shifted_cap()
+            assert all((j + 2) * v.mass(j) <= 3 for j in range(1, v.n_max + 1))
 
 
 class TestFlipStepDistribution:

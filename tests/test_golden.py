@@ -3,7 +3,8 @@
 The files under tests/golden/ are committed data.  coupling.json holds one
 sha256 per group of pairs over everything the coupling derives from a
 pair: the move list (order, masses, flags), the sigma-side flips of D,
-difference_sets, signature for every color (s and t included), and the
+the labeled view of D (its D lines, from tests/reference_blocks.py's
+difference_sets), signature for every color (s and t included), and the
 per-color states.  simplex.json holds, for every solve_simplex call that
 lp.solve makes on seven programs, the pivot counts, the final basis and a
 sha256 of the pivot sequence, captured from the dense rational solver
@@ -35,6 +36,7 @@ import numpy as np
 import pytest
 
 from conftest import neighboring_pairs, nonisomorphic_graphs, simplex_calls
+from reference_blocks import difference_sets
 
 from flipdyn import (
     Coloring,
@@ -48,7 +50,6 @@ from flipdyn import (
     build_tight_lp,
     build_vigoda_lp,
     classify_color,
-    difference_sets,
     extend_assignment,
     greedy_coupling_distribution,
     mixed_vector,
@@ -59,7 +60,7 @@ from flipdyn import (
     vigoda_vector,
 )
 from flipdyn.cli import main as cli_main
-from flipdyn.coupling import _difference_moves
+from flipdyn.coupling import _difference_raw
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,7 +148,7 @@ def pair_lines(pair: NeighboringPair):
             yield (f"{name} {_flip(m.sigma_flip)} {_flip(m.tau_flip)} "
                    f"{_frac(m.mass)} {int(m.terminating)}")
         yield f"{name} noop {_frac(dist.noop_mass)}"
-    _, labels = _difference_moves(pair, VECTORS["vigoda"])
+    _, labels = _difference_raw(pair, VECTORS["vigoda"])
     yield "labels " + " ".join(sorted(_flip(f) for f in labels))
     for c, entries in difference_sets(pair).items():
         yield f"D {c} " + " ".join(f"{label}={_flip(f)}" for label, f in entries)

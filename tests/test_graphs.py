@@ -233,8 +233,7 @@ class TestNeighboringPair:
         assert pair.k == 3
         assert pair.delta(0) == 2
         assert pair.delta(1) == 0
-        assert pair.neighbors_colored(0) == (0, 2)
-        assert pair.is_proper_pair()
+        assert is_proper(g, pair.sigma) and is_proper(g, pair.tau)
 
     def test_rejects_non_neighbors(self):
         g = path(3)

@@ -1,12 +1,14 @@
-"""Every module-level import in the package and the tests is used, and
-no function imports a module that `import flipdyn` has already loaded.
+"""Every module-level import in the package and the tests is used, no
+function imports a module that `import flipdyn` has already loaded, and
+every private function or class of the package is used by the package.
 
 No linter runs on this code, so an import left behind by a refactor
 would otherwise go unnoticed.  __init__.py files are skipped by the
 first check: their imports are the package's exports.  A function-local
 import is worth having only for a module the package does not load
 anyway (scipy, multiprocessing, csv, array); of one it does load, it
-only hides a dependency.
+only hides a dependency.  A private helper that only tests call belongs
+with the tests (tests/reference_*.py), not in the library.
 """
 
 import ast
@@ -117,4 +119,61 @@ def test_detects_a_local_import():
     )
     assert local_imports(src, "pkg") == [
         (3, "csv"), (3, "numpy"), (4, "pkg.lp"), (6, "scipy.optimize"), (9, "pkg")
+    ]
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """The underscore-named functions and classes (dunders aside) of the
+    modules in sources, by file name, that no module references by name
+    or as an attribute outside the definition itself."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+
+    def refs(tree) -> list[str]:
+        out = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.append(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.extend(alias.name for alias in node.names)
+        return out
+
+    everywhere: dict[str, int] = {}
+    for tree in trees.values():
+        for ref in refs(tree):
+            everywhere[ref] = everywhere.get(ref, 0) + 1
+    unused = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.endswith("__"):
+                continue
+            if everywhere.get(node.name, 0) == refs(node).count(node.name):
+                unused.append(f"{name}:{node.lineno}: {node.name}")
+    return unused
+
+
+def test_no_private_helper_only_tests_use():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_detects_an_unreferenced_private_helper():
+    sources = {
+        "a.py": (
+            "def _used(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "def _dead(): return _used()\n"
+            "class _Kept:\n"
+            "    def _method(self): return 0\n"
+            "    def __init__(self): self._method()\n"
+            "    def _orphan(self): return 1\n"
+            "def public(): return _Kept()\n"
+        ),
+        "b.py": "from .a import _dead\nX = _dead\n",
+    }
+    assert unreferenced_private_defs(sources) == [
+        "a.py:2: _recursive", "a.py:7: _orphan"
     ]
