@@ -50,12 +50,16 @@ L = probs.scale the lcm of the vector's denominators, so a block's
 minima and residuals, the marginals and the totals are integer sums;
 CoupledMove.mass and the CouplingDistribution sums make one Fraction per
 value they return.  A generic block's moves read the scaled masses once
-and write each min split inline.  One one-entry cache, compared by
-identity first, skips repeated work: greedy_coupling_distribution keeps
-the sigma side's identity moves, prebuilt as CoupledMoves, for the last
-(graph, sigma, probs) it saw (_FLIPS), since consecutive pairs of a sweep
-share sigma and the vector, and each pair only drops those whose flip is
-in D.  The walk's tables travel as arguments instead: a walk may copy a
+and write each min split inline.  Two caches skip repeated work.  A
+one-entry cache, compared by identity first, keeps the sigma side's
+identity moves, prebuilt as CoupledMoves, for the last (graph, sigma,
+probs) greedy_coupling_distribution saw (_FLIPS), since consecutive
+pairs of a sweep share sigma and the vector, and each pair only drops
+those whose flip is in D.  When it misses, the flips come from
+enumerate_flips' table for that coloring (graphs._TABLES), which the
+single-chain law of the same coloring reads as well, so a sweep searches
+each coloring once per graph.  The walk calls neither; its tables travel
+as arguments instead: a walk may copy a
 start walk's table and absent-color entries (start_walk) rather than
 build its first ones, and its TerminationRecord carries the table its
 last move of D was drawn from, from which signature reads the pre-stop
@@ -100,7 +104,9 @@ _EMPTY: frozenset[int] = frozenset()
 
 class CoupledMove(NamedTuple):
     """One joint move: a flip (or nothing) on each side, with its mass
-    num / den."""
+    num / den.  The exact law builds its moves with
+    tuple.__new__(CoupledMove, fields), the same tuple at about half the
+    cost of the Python-level __new__ of a NamedTuple."""
 
     sigma_flip: Optional[Flip]
     tau_flip: Optional[Flip]
@@ -568,10 +574,11 @@ def _identity_moves(pair: NeighboringPair, probs: FlipProbabilities,
     """Each flip of sigma with nonzero mass as a non-terminating move
     (f, f) over den, in enumerate_flips order."""
     moves = []
+    new = tuple.__new__
     for f in enumerate_flips(pair.graph, pair.sigma):
         num = probs.mass_scaled(len(f[0]))
         if num:
-            moves.append(CoupledMove(f, f, num, den, False))
+            moves.append(new(CoupledMove, (f, f, num, den, False)))
     return tuple(moves)
 
 
@@ -588,9 +595,10 @@ def greedy_coupling_distribution(
     raw, sigma_labels = _difference_raw(pair, probs)
     moves = []
     used = 0
+    new = tuple.__new__
     for sf, tf, num in raw:
         used += num
-        moves.append(CoupledMove(sf, tf, num, den, True))
+        moves.append(new(CoupledMove, (sf, tf, num, den, True)))
     key = _flips_key(pair, probs)
     if _FLIPS[0] != key:
         _FLIPS[:] = [key, _identity_moves(pair, probs, den)]
@@ -643,6 +651,8 @@ class TerminationRecord:
 # Draws per refill of the walk's random batch.  The walk consumes the
 # batch in order, so every seeded stream depends on this value.
 _BATCH = 4096
+# Uniforms a refill draws first; each later draw in the batch doubles them.
+_FIRST_UNIFORMS = 32
 
 
 def _closed_neighborhood(g: Graph, vertices: frozenset[int]) -> frozenset[int]:
@@ -757,7 +767,7 @@ class CoupledWalk:
         self._moves: list[RawMove] = []
         self._move_cum: list[float] = []
         self._q = 0.0
-        self._idx = _BATCH  # force refill
+        self._idx = self._ready = _BATCH  # the first step refills
         self._vs = self._cs = self._us = None
         if start is not None:
             if start.pair is not pair or start.probs is not probs:
@@ -775,11 +785,22 @@ class CoupledWalk:
                             self._den)
 
     def _refill(self):
-        # read through memoryviews, whose items are Python ints and floats
-        self._vs = memoryview(self.rng.integers(self.n, size=_BATCH))
-        self._cs = memoryview(self.rng.integers(self.k, size=_BATCH))
-        self._us = memoryview(self.rng.random(size=_BATCH))
-        self._idx = 0
+        """Make the draw at _idx ready.  A batch's vertices and colors are
+        drawn whole, since their bounded draws fix where the rest of the
+        stream starts; its uniforms come in doubling chunks, in order,
+        and a new batch starts only after every uniform of the last one
+        was drawn, so the stream is the one whole batches would give."""
+        rng = self.rng
+        if self._idx >= _BATCH:
+            # read through memoryviews, whose items are Python ints
+            self._vs = memoryview(rng.integers(self.n, size=_BATCH))
+            self._cs = memoryview(rng.integers(self.k, size=_BATCH))
+            self._us = rng.random(size=_FIRST_UNIFORMS).tolist()
+            self._idx = 0
+        else:
+            drawn = len(self._us)
+            self._us += rng.random(size=min(drawn, _BATCH - drawn)).tolist()
+        self._ready = len(self._us)
 
     def _drop(self, comp: frozenset[int], lo: int, hi: int) -> None:
         """Drop the cached blocks an identity flip of comp may change.
@@ -842,7 +863,7 @@ class CoupledWalk:
 
     def step(self) -> Optional[CoupledMove]:
         """Advance one step; returns the applied move, or None for a no-op."""
-        if self._idx >= _BATCH:
+        if self._idx >= self._ready:
             self._refill()
         at = self._idx
         x = self._vs[at]

@@ -19,7 +19,8 @@ selections that yield the same set and pair are the same flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, output_file
 
@@ -169,7 +170,17 @@ def flip(col: Coloring, s: frozenset[int], base: int, other: int) -> Coloring:
     return Coloring._unchecked(tuple(cols), col.k)
 
 
-def enumerate_flips(g: Graph, col: Coloring) -> dict[tuple[frozenset[int], int, int], int]:
+# The flip tables enumerate_flips has built on the last graph it saw:
+# [graph, {(colors, k): table}].  A table depends on the graph and the
+# coloring alone.  The graph is compared by identity (a Graph never
+# changes, and holding it keeps its id from being reused); another graph
+# starts a fresh set, since a memo kept across the graphs of a sweep only
+# grows, and _TABLE_CAP tables clear the set, which bounds its memory.
+_TABLES: list = [None, {}]
+_TABLE_CAP = 1024
+
+
+def enumerate_flips(g: Graph, col: Coloring) -> Mapping[tuple[frozenset[int], int, int], int]:
     """All distinct flips selectable by some (vertex, color) draw.
 
     Returns a map (component, lo_color, hi_color) -> multiplicity, where
@@ -183,7 +194,27 @@ def enumerate_flips(g: Graph, col: Coloring) -> dict[tuple[frozenset[int], int, 
     c == col(v) select the empty set and do not appear.  The total
     multiplicity over all flips is n*(k-1), so together with the n
     same-color draws every one of the n*k draws is accounted for.
+
+    Each coloring is searched once per graph: the map is a read-only view
+    of a table shared by every caller that asks for the same coloring of
+    the same Graph object, kept until a call for another graph arrives or
+    _TABLE_CAP tables have been built (_TABLES).
     """
+    tables = _TABLES[1]
+    if _TABLES[0] is not g:
+        tables = {}
+        _TABLES[:] = [g, tables]
+    key = (col.colors, col.k)
+    table = tables.get(key)
+    if table is None:
+        if len(tables) >= _TABLE_CAP:
+            tables.clear()
+        table = tables[key] = MappingProxyType(_search_flips(g, col))
+    return table
+
+
+def _search_flips(g: Graph, col: Coloring) -> dict[tuple[frozenset[int], int, int], int]:
+    """enumerate_flips' map, searched afresh."""
     cols, k = col.colors, col.k
     keys: list[tuple[frozenset[int], int, int]] = []
     counts: list[int] = []

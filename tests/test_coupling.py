@@ -74,7 +74,7 @@ class TestMarginals:
         cases.append(NeighboringPair(g, sigma, sigma.recolor({0: 1})))
         for pair in cases:
             dist = greedy_coupling_distribution(pair, probs)
-            assert dist.total_mass() == 1
+            assert dist.noop_num >= 0
             assert flips_only(dist.sigma_marginal()) == flips_only(
                 flip_step_distribution(pair.graph, pair.sigma, probs)
             )
@@ -89,7 +89,7 @@ class TestMarginals:
         for probs in paper_vectors.values():
             for pair in neighboring_pairs(g, 3):
                 dist = greedy_coupling_distribution(pair, probs)
-                assert dist.total_mass() == 1
+                assert dist.noop_num >= 0
                 assert flips_only(dist.sigma_marginal()) == flips_only(
                     flip_step_distribution(g, pair.sigma, probs)
                 )
@@ -117,7 +117,7 @@ def test_marginals_exhaustive_n5(paper_vectors):
                 single: dict[tuple, dict] = {}
                 for pair in pairs:
                     coupled = greedy_coupling_distribution(pair, probs)
-                    assert coupled.total_mass() == 1
+                    assert coupled.noop_num >= 0
                     assert all(m.terminating == is_terminating(pair, m) for m in coupled.moves)
                     for side in (pair.sigma, pair.tau):
                         if side.colors not in single:
@@ -353,8 +353,9 @@ def generic_component_mismatches(pair):
 
 
 def check_block_properties(pair, probs):
-    """Mass 1, every move of positive mass (so no block emits a negative
-    residual), exact marginals, the terminating oracle, each generic
+    """Moves that fit in mass 1 (a no-op mass >= 0), every move of
+    positive mass (so no block emits a negative residual), exact
+    marginals, the terminating oracle, each generic
     block's two big components against a fresh search, and each block's
     draw count against its distinct sigma flips."""
     assert generic_component_mismatches(pair) == 0
@@ -363,7 +364,7 @@ def check_block_properties(pair, probs):
         cached = coupling._CachedBlock(blk, pair.graph, probs, den)
         assert cached.draws == sum(len(f[0]) for f in set(blk.sigma_flips()))
     dist = greedy_coupling_distribution(pair, probs)
-    assert dist.total_mass() == 1
+    assert dist.noop_num >= 0
     assert all(m.mass > 0 for m in dist.moves)
     assert flips_only(dist.sigma_marginal()) == flips_only(
         flip_step_distribution(pair.graph, pair.sigma, probs)

@@ -18,7 +18,9 @@ from flipdyn import (
     ExperimentConfig,
     Graph,
     InputError,
+    build_construction,
     estimate_gamma_empirical,
+    mixed_vector,
     run_coupling_experiment,
     run_stage_experiment,
 )
@@ -322,6 +324,55 @@ class TestReplicaGenerator:
     def test_each_context_has_its_own_generator(self):
         a, b = (experiments._Context(None, None, 0, 1, None, None) for _ in range(2))
         assert a.rng is not b.rng
+
+
+class _DrawLog(coupling.CoupledWalk):
+    """A walk that records the (vertex, color, coin) each step reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = []
+
+    def step(self):
+        if self._idx >= self._ready:
+            self._refill()
+        at = self._idx
+        self.read.append((self._vs[at], self._cs[at], self._us[at]))
+        return super().step()
+
+
+def eager_draws(rng, n, k, steps):
+    """The first steps (vertex, color, coin) draws of whole batches."""
+    out = []
+    while len(out) < steps:
+        out += zip(*(batch.tolist() for batch in walk_batches(rng, n, k)))
+    return out[:steps]
+
+
+class TestLazyCoins:
+    """The walk draws its coins in doubling chunks; every step reads what
+    whole batches would have given it."""
+
+    @pytest.mark.parametrize("steps", [1, 33, 4096, 4097, 9000])
+    def test_steps_read_the_eager_batches(self, steps):
+        pair = build_construction(ConstructionSpec(2, 3, 6))
+        for seed in (0, 1, 2):
+            walk = _DrawLog(pair, mixed_vector(), experiments._replica_rng(seed, 0))
+            for _ in range(steps):
+                walk.step()
+            want = eager_draws(experiments._replica_rng(seed, 0), pair.graph.n, pair.k, steps)
+            assert walk.read == want, seed
+
+    def test_a_short_walk_draws_few_coins(self):
+        pair = build_construction(ConstructionSpec(1, 6, 11))
+        rng, eager = experiments._replica_rng(5, 0), experiments._replica_rng(5, 0)
+        coupling.CoupledWalk(pair, mixed_vector(), rng).step()
+        walk_batches(eager, pair.graph.n, pair.k)
+        # Philox makes four 64-bit words per counter step: a whole batch
+        # takes 1,024 for its vertices and colors and 1,024 for its coins
+        assert int(eager.bit_generator.state["state"]["counter"][0]) == 2048
+        assert int(rng.bit_generator.state["state"]["counter"][0]) == (
+            1024 + coupling._FIRST_UNIFORMS // 4)
 
 
 class TestRunStats:

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nonisomorphic_graphs, small_graph_corpus
+import flipdyn.graphs as graphs
 from flipdyn import Coloring, Graph, InputError, NeighboringPair
 from flipdyn.graphs import (
+    _search_flips,
     alternating_component,
     enumerate_flips,
     flip,
@@ -221,6 +224,58 @@ class TestEnumerateFlips:
         # searches every draw.
         g, col = random_graph_coloring(data, proper)
         assert list(enumerate_flips(g, col).items()) == list(draw_counts(g, col).items())
+
+
+def all_colorings(n, k):
+    return [Coloring(colors, k) for colors in itertools.product(range(k), repeat=n)]
+
+
+class TestFlipTables:
+    """enumerate_flips keeps one table per coloring of the last graph."""
+
+    @pytest.mark.parametrize("corpus", ["n<=4, k=2..4", "n=5, k<=3"])
+    def test_a_hit_equals_a_fresh_search(self, corpus):
+        if corpus == "n<=4, k=2..4":
+            cases = [(g, (2, 3, 4)) for g in small_graph_corpus()]
+        else:
+            cases = [(g, (2, 3)) for g in nonisomorphic_graphs(5)]
+        for g, ks in cases:
+            cols = [col for k in ks for col in all_colorings(g.n, k)]
+            assert len(cols) <= graphs._TABLE_CAP
+            first = [enumerate_flips(g, col) for col in cols]
+            for col, table in zip(cols, first):
+                hit = enumerate_flips(g, col)
+                assert hit is table
+                # the whole map, key order included
+                assert list(hit.items()) == list(_search_flips(g, col).items())
+
+    def test_another_graph_starts_fresh_tables(self):
+        g, col = path(3), Coloring((0, 1, 0), 2)
+        table = enumerate_flips(g, col)
+        twin = path(3)
+        assert enumerate_flips(twin, col) == table
+        assert graphs._TABLES[0] is twin and len(graphs._TABLES[1]) == 1
+        again = enumerate_flips(g, col)
+        assert again == table and again is not table
+
+    def test_the_cap_bounds_the_tables(self):
+        g = path(6)
+        sizes = []
+        for col in all_colorings(6, 4)[: graphs._TABLE_CAP + 2]:
+            enumerate_flips(g, col)
+            sizes.append(len(graphs._TABLES[1]))
+        assert max(sizes) == graphs._TABLE_CAP
+        assert sizes[-2:] == [1, 2]
+
+    def test_a_table_cannot_be_written(self):
+        g, col = path(3), Coloring((0, 1, 0), 2)
+        flips = enumerate_flips(g, col)
+        key = next(iter(flips))
+        with pytest.raises(TypeError):
+            flips[key] = 0
+        with pytest.raises(TypeError):
+            del flips[key]
+        assert enumerate_flips(g, col) == {(frozenset({0, 1, 2}), 0, 1): 3}
 
 
 class TestNeighboringPair:

@@ -1,12 +1,15 @@
 """No function in the package keeps state in a module-level name, apart
-from the two that are meant to.
+from the three that are meant to.
 
 A module-level name that a function rebinds or mutates carries state from
-one call to the next, so a result can depend on what ran before it.  Two
+one call to the next, so a result can depend on what ran before it.  Three
 such names remain, each for a reason: coupling._FLIPS, the sigma side's
 identity moves for the last (graph, sigma, vector) that
 greedy_coupling_distribution saw, which an exhaustive sweep calling it
-once per pair has no other way to reuse; and experiments._CONTEXT, the
+once per pair has no other way to reuse; graphs._TABLES, the flip tables
+of the colorings enumerate_flips has searched on the last graph, which
+the coupled law and the single-chain law of one sweep read for the same
+coloring through separate public calls; and experiments._CONTEXT, the
 running experiment's replica context, which forked workers inherit.
 Everything else travels as arguments.
 """
@@ -19,7 +22,7 @@ PACKAGE = sorted((ROOT / "src" / "flipdyn").glob("*.py"))
 # the methods that change a list, dict or set in place
 MUTATORS = {"append", "clear", "discard", "extend", "insert", "pop", "remove", "setdefault",
             "update", "add"}
-ALLOWED = {"coupling._FLIPS", "experiments._CONTEXT"}
+ALLOWED = {"coupling._FLIPS", "experiments._CONTEXT", "graphs._TABLES"}
 
 
 def module_state(source: str) -> set[str]:
