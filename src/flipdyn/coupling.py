@@ -65,12 +65,15 @@ build its first ones, and its TerminationRecord carries the table its
 last move of D was drawn from, from which signature reads the pre-stop
 pair's blocks when handed it (a stage walk hands it the blocks it keeps).
 
-A block also knows what it reads: its colors (s, t and c for a generic
-block, s and t for the disagreement block) and N[visited()], the
-vertices its searches reached and their neighbors.  Its moves change
-only when a flip recolors one of those vertices between colors it tells
-apart, which is what lets CoupledWalk keep blocks from one step to the
-next.
+A block reads only its colors (s, t and c for a generic block, s and t
+for the disagreement block) on N[visited()], the vertices its searches
+reached and their neighbors.  Its moves change only when a flip
+recolors one of those vertices between colors it tells apart, which is
+what lets CoupledWalk keep blocks from one step to the next.  The walk
+tests this from the flip's side, N[S] against visited(), which is the
+same relation.  It flips identity draws in place, on a list of sigma's
+colors and a list of v's neighbor counts, and builds its
+NeighboringPair only when something reads it.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from .graphs import (
     Coloring,
     Graph,
     NeighboringPair,
+    _component,
     alternating_component,
     enumerate_flips,
     flip,
@@ -100,11 +104,14 @@ Flip = tuple[frozenset[int], int, int]
 # the move's mass times probs.scale * n * k, an integer.
 RawMove = tuple[Optional[Flip], Optional[Flip], int]
 _EMPTY: frozenset[int] = frozenset()
+# tuple.__new__(CoupledMove, fields) builds a move without the Python-level
+# __new__ of a NamedTuple (see CoupledMove)
+_new = tuple.__new__
 
 
 class CoupledMove(NamedTuple):
     """One joint move: a flip (or nothing) on each side, with its mass
-    num / den.  The exact law builds its moves with
+    num / den.  The exact law and the walk build their moves with
     tuple.__new__(CoupledMove, fields), the same tuple at about half the
     cost of the Python-level __new__ of a NamedTuple."""
 
@@ -197,8 +204,8 @@ class _GenericBlock:
     N[visited()] carries.
     """
 
-    __slots__ = ("c", "s", "t", "colors", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets",
-                 "i_max", "j_max")
+    __slots__ = ("c", "s", "t", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets", "i_max",
+                 "j_max")
 
     def __init__(self, pair: NeighboringPair, c: int, absent: bool = False):
         """The block of c at pair; absent builds it as if no neighbor of v
@@ -206,7 +213,6 @@ class _GenericBlock:
         t where delta_c = 0."""
         s, t, v = pair.s, pair.t, pair.v
         self.c, self.s, self.t = c, s, t
-        self.colors = (s, t, c)
         if absent or not pair._delta[c]:
             self.u = self.a_sets = self.b_sets = ()
             self.sv_sigma = self.sv_tau = frozenset((v,))
@@ -362,7 +368,6 @@ class _DisagreementBlock:
         g, sig, tau, v = pair.graph, pair.sigma, pair.tau, pair.v
         s, t = pair.s, pair.t
         self.s, self.t, self.v = s, t, v
-        self.colors = (s, t)
         # the s- and t-colored neighbors of v, in vertex order
         cols = sig.colors
         self.x, self.y = x, y = [], []
@@ -655,25 +660,23 @@ _BATCH = 4096
 _FIRST_UNIFORMS = 32
 
 
-def _closed_neighborhood(g: Graph, vertices: frozenset[int]) -> frozenset[int]:
-    out = set(vertices)
-    for w in vertices:
-        out.update(g.adj[w])
-    return frozenset(out)
+def _closed_neighborhoods(g: Graph) -> tuple[frozenset[int], ...]:
+    """N[w] for every vertex w of g: w and its neighbors."""
+    return tuple(frozenset((w,) + nbrs) for w, nbrs in enumerate(g.adj))
 
 
 class _CachedBlock:
     """One block as the walk keeps it between rebuilds: the block itself
-    (signature reads it from a record's table), what it reads, its moves
-    with integer masses, their floats and total, and its sigma-side draws
-    (the distinct draws that select one of its sigma flips)."""
+    (signature reads it from a record's table), the vertices its searches
+    visited, its moves with integer masses, their floats and total, and
+    its sigma-side draws (the distinct draws that select one of its sigma
+    flips)."""
 
-    __slots__ = ("block", "reads", "colors", "moves", "floats", "total", "draws")
+    __slots__ = ("block", "visited", "moves", "floats", "total", "draws")
 
-    def __init__(self, blk: Block, g: Graph, probs: FlipProbabilities, den: int):
+    def __init__(self, blk: Block, probs: FlipProbabilities, den: int):
         self.block = blk
-        self.reads = _closed_neighborhood(g, blk.visited())
-        self.colors = blk.colors
+        self.visited = blk.visited()
         self.moves = blk.moves(probs)
         floats: list[float] = []
         total = 0
@@ -682,13 +685,6 @@ class _CachedBlock:
             total += num
         self.floats, self.total = floats, total
         self.draws = blk.draws()
-
-    def stale_after(self, comp: frozenset[int], lo: int, hi: int) -> bool:
-        """Whether flipping comp between lo and hi can change the block:
-        only when it recolors a vertex the block reads, between colors it
-        tells apart."""
-        colors = self.colors
-        return (lo in colors or hi in colors) and not comp.isdisjoint(self.reads)
 
 
 class CoupledWalk:
@@ -704,21 +700,34 @@ class CoupledWalk:
     which always bounds the total mass of D; the bound is checked exactly,
     in integers, at every rebuild.
 
-    A step tests and applies an identity draw itself: the rule for a flip
-    in D (module docstring) toward t written inline, p_alpha read from the
-    vector's float tuple.  It still searches through
-    alternating_component, and still returns a non-terminating
-    CoupledMove for an identity flip, which stage_update and tracers read.
+    The walk keeps sigma's colors and the counts of v's neighbors by
+    color as two lists, and v, s and t beside them (tau is sigma with t
+    at v).  A step tests and applies an identity draw itself, on those
+    lists: it searches with graphs._component, applies the rule for a
+    flip in D (module docstring) toward t inline, reads p_alpha from the
+    vector's float tuple, and flips an accepted component in place.  It
+    returns a non-terminating CoupledMove for an identity flip, which
+    stage_update and tracers read.  pair is a property: the
+    NeighboringPair of the lists, built when it is first read after an
+    identity flip (a rebuild, a move of D, the record and a stage update
+    read it) and kept until the next one.
 
     The sampling table is built from the blocks of D, which the walk keeps
-    between rebuilds.  An identity flip of S between colors lo and hi
-    drops only the blocks that tell lo or hi apart from other colors and
-    read a vertex of S (stale_after); a move of D drops them all, since v,
-    s and t may change.  A rebuild builds the dropped blocks alone, then
-    concatenates every block's moves in _block_keys order.  A color outside
+    between rebuilds.  A block's moves depend only on which of its colors
+    (s, t and c for a generic block, s and t for the disagreement block)
+    each vertex of N[visited] carries, so an identity flip of S between
+    colors lo and hi drops a block only when one of its colors is lo or
+    hi and N[S] meets its visited set (the same relation as S meeting
+    N[visited]).  When lo or hi is s or t, every block holds that color;
+    otherwise only the generic blocks of lo and hi do.  N[S] of a
+    singleton S is read from a table of closed neighborhoods, built once
+    per start walk.  A move of D drops every block, since v, s and t may
+    change.  A rebuild builds the dropped blocks alone, then concatenates
+    every block's moves in _block_keys order (the keys are computed once
+    between two moves of D).  A color outside
     {s, t} with delta_c = 0 has the same block at every pair with the
-    walk's v, s and t (both sides {v}, one coalescing move, N[v] as its
-    read set), so the walk keeps one such absent entry per color
+    walk's v, s and t (both sides {v}, one coalescing move), so the walk
+    keeps one such absent entry per color
     (_absent), built at most once between two moves of D, and a rebuild
     reuses it wherever delta_c = 0; a move of D drops these too.  Masses
     are integers over L * n * k (L = probs.scale), so the table's floats
@@ -732,7 +741,8 @@ class CoupledWalk:
     first rebuild.  Given start, a walk at this very pair and vector whose
     table a full rebuild has built and which holds every absent entry
     (start_walk), it copies that table and those entries instead; the
-    blocks are never mutated, so it copies only the lists of them.  A
+    blocks are never mutated, so it copies only the lists of them, and it
+    shares the start's closed neighborhoods.  A
     start at another pair or vector, or with no table, is an InputError.
     Such a walk skips its first rebuild and builds no absent entry before
     its first move of D, and its counters cover only the rebuilds it
@@ -743,6 +753,7 @@ class CoupledWalk:
     def __init__(self, pair: NeighboringPair, probs: FlipProbabilities, rng,
                  start: Optional[CoupledWalk] = None):
         self.g = pair.graph
+        self._adj = pair.graph.adj
         self.k = pair.k
         self.n = pair.graph.n
         self.nk = self.n * self.k
@@ -750,7 +761,7 @@ class CoupledWalk:
         # p_alpha as floats, alpha = 1..len: the identity coin reads them
         self._floats = probs._floats
         self.rng = rng
-        self.pair = pair
+        self._at(pair)
         self.steps = 0
         self.rebuilds = 0
         self.blocks_built = 0
@@ -762,27 +773,53 @@ class CoupledWalk:
         self._cache: Optional[list[Optional[_CachedBlock]]] = None
         # the absent-color entries at the walk's v, s and t, one per generic
         # color in _block_keys order, None until built; None after a move
-        # of D, like _cache
+        # of D, like _cache and _keys
         self._absent: Optional[list[Optional[_CachedBlock]]] = None
+        self._keys: Optional[list[int]] = None
         self._moves: list[RawMove] = []
         self._move_cum: list[float] = []
         self._q = 0.0
         self._idx = self._ready = _BATCH  # the first step refills
         self._vs = self._cs = self._us = None
-        if start is not None:
-            if start.pair is not pair or start.probs is not probs:
-                raise InputError("the start walk is at another pair or vector")
-            if start._cache is None:
-                raise InputError("the start walk has no table: build it with start_walk")
-            self._cache = list(start._cache)
-            self._absent = list(start._absent)
-            self._moves, self._move_cum, self._q = start._moves, start._move_cum, start._q
+        if start is None:
+            self._closed = _closed_neighborhoods(self.g)
+            return
+        if start.pair is not pair or start.probs is not probs:
+            raise InputError("the start walk is at another pair or vector")
+        if start._cache is None:
+            raise InputError("the start walk has no table: build it with start_walk")
+        self._closed = start._closed
+        self._cache = list(start._cache)
+        self._absent = list(start._absent)
+        self._keys = start._keys
+        self._moves, self._move_cum, self._q = start._moves, start._move_cum, start._q
+
+    def _at(self, pair: NeighboringPair) -> None:
+        """Move the walk to pair: its lists and v, s and t from it."""
+        self._pair = pair
+        self._cols = list(pair.sigma.colors)
+        self._counts = list(pair._delta)
+        self._v, self._s, self._t = pair.v, pair.s, pair.t
+
+    @property
+    def pair(self) -> NeighboringPair:
+        """The walk's pair, built from its lists when first read after an
+        identity flip."""
+        pair = self._pair
+        if pair is None:
+            cols, k, v = self._cols, self.k, self._v
+            sigma = Coloring._unchecked(tuple(cols), k)
+            cols[v] = self._t
+            tau = Coloring._unchecked(tuple(cols), k)
+            cols[v] = self._s
+            pair = self._pair = NeighboringPair._unchecked(self.g, sigma, tau, v,
+                                                           tuple(self._counts))
+        return pair
 
     def _absent_entry(self, c: int) -> _CachedBlock:
         """The entry of color c outside {s, t} at any pair with the walk's
         v, s and t where no neighbor of v carries c."""
-        return _CachedBlock(_GenericBlock(self.pair, c, absent=True), self.g, self.probs,
-                            self._den)
+        return _CachedBlock(_GenericBlock(self.pair, c, absent=True), self.probs, self._den)
 
     def _refill(self):
         """Make the draw at _idx ready.  A batch's vertices and colors are
@@ -802,35 +839,43 @@ class CoupledWalk:
             self._us += rng.random(size=min(drawn, _BATCH - drawn)).tolist()
         self._ready = len(self._us)
 
-    def _drop(self, comp: frozenset[int], lo: int, hi: int) -> None:
-        """Drop the cached blocks an identity flip of comp may change.
-
-        Only a block whose colors hold lo or hi can go stale.  A flip
-        between two colors outside {s, t} reaches just the generic blocks
-        of lo and hi, found by their index in _block_keys order."""
+    def _drop(self, x: int, comp: frozenset[int], lo: int, hi: int) -> None:
+        """Drop the kept blocks an identity flip of comp, drawn at x,
+        between lo and hi may change: those that hold lo or hi among their
+        colors and whose visited set meets N[comp]."""
         cache = self._cache
         if cache is None:
             return
-        s, t = self.pair.s, self.pair.t
+        closed = self._closed
+        if len(comp) == 1:
+            near = closed[x]
+        else:
+            near = frozenset().union(*[closed[w] for w in comp])
+        s, t = self._s, self._t
         if lo == s or lo == t or hi == s or hi == t:
+            # every block holds s and t
             reached = range(len(cache))
         else:
+            # only the generic blocks of lo and hi hold them
             reached = (_generic_index(lo, s, t), _generic_index(hi, s, t))
         for i in reached:
             entry = cache[i]
-            if entry is not None and entry.stale_after(comp, lo, hi):
+            if entry is not None and not near.isdisjoint(entry.visited):
                 cache[i] = None
 
     def _rebuild(self):
-        # v, s and t change only with a move of D, which drops every block,
-        # so the pair's keys are the keys the kept blocks were built for
+        # v, s and t change only with a move of D, which drops every block
+        # and the keys, so the keys are the ones the kept blocks were built
+        # for
         pair = self.pair
-        keys = _block_keys(pair)
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = _block_keys(pair)
         if self._cache is None:
             self._cache = [None] * len(keys)
         if self._absent is None:
             self._absent = [None] * (len(keys) - 1)
-        cache, absent, delta, s = self._cache, self._absent, pair._delta, pair.s
+        cache, absent, delta, s = self._cache, self._absent, self._counts, self._s
         self.rebuilds += 1
         moves: list[RawMove] = []
         floats: list[float] = []
@@ -840,7 +885,7 @@ class CoupledWalk:
             if entry is None:
                 c = keys[i]
                 if c == s or delta[c]:
-                    entry = _CachedBlock(_block(pair, c), self.g, self.probs, self._den)
+                    entry = _CachedBlock(_block(pair, c), self.probs, self._den)
                 else:
                     # an absent color's block depends on v, s, t and c alone
                     entry = absent[i]
@@ -872,19 +917,19 @@ class CoupledWalk:
         self._idx = at + 1
         self.steps += 1
 
-        pair = self.pair
-        cols = pair.sigma.colors
+        cols = self._cols
         cx = cols[x]
         if c != cx:
-            comp = alternating_component(self.g, pair.sigma, x, c)
+            adj = self._adj
+            comp = _component(adj, cols, x, c)
             lo, hi = (cx, c) if cx < c else (c, cx)
             # the flip is in D when comp holds v, or when it recolors a
             # neighbor of v from the other color to t
-            v, t = pair.v, pair.t
+            v, t = self._v, self._t
             in_d = v in comp
             if not in_d and (t == lo or t == hi):
                 other = lo + hi - t
-                for w in self.g.adj[v]:
+                for w in adj[v]:
                     if cols[w] == other and w in comp:
                         in_d = True
                         break
@@ -893,19 +938,20 @@ class CoupledWalk:
                 floats = self._floats
                 p = floats[alpha - 1] if alpha <= len(floats) else 0.0
                 if p > 0 and u < p / alpha:
-                    # comp misses v, so both sides carry lo or hi on it:
-                    # swap it once for sigma, then tau is sigma with t at v
-                    new = list(cols)
+                    # comp misses v, so both sides carry lo or hi on it
+                    # and flip alike: swap it in sigma's colors, and move
+                    # each neighbor of v it holds between the counts
+                    counts, nbrs = self._counts, adj[v]
                     for w in comp:
-                        new[w] = hi if new[w] == lo else lo
-                    k = self.k
-                    sig = Coloring._unchecked(tuple(new), k)
-                    new[v] = t
-                    tau = Coloring._unchecked(tuple(new), k)
-                    self.pair = pair._flipped_off_v(sig, tau, comp)
-                    self._drop(comp, lo, hi)
+                        cw = cols[w]
+                        cols[w] = flipped = lo + hi - cw
+                        if w in nbrs:
+                            counts[cw] -= 1
+                            counts[flipped] += 1
+                    self._pair = None
+                    self._drop(x, comp, lo, hi)
                     drawn = (comp, lo, hi)
-                    return CoupledMove(drawn, drawn, 0, self._den, False)
+                    return _new(CoupledMove, (drawn, drawn, 0, self._den, False))
                 return None
 
         if self._cache is None or None in self._cache:
@@ -914,12 +960,12 @@ class CoupledWalk:
         if i >= len(self._moves):
             return None
         sf, tf, num = self._moves[i]
-        move = CoupledMove(sf, tf, num, self._den, True)
+        move = _new(CoupledMove, (sf, tf, num, self._den, True))
         sig, tau = move.apply(self.pair)
-        table, self._cache, self._absent = self._cache, None, None
+        table, self._cache, self._absent, self._keys = self._cache, None, None, None
         d = hamming(sig, tau)
         if d == 1:
-            self.pair = NeighboringPair(self.g, sig, tau)
+            self._at(NeighboringPair(self.g, sig, tau))
             return move
         # distance left 1: store the final colorings without pair wrapping,
         # and the table the move was drawn from
@@ -933,14 +979,15 @@ class CoupledWalk:
                 raise CapacityError(f"no distance change within {step_cap} steps")
             self.step()
         sig, tau, d, table = self._final
+        pair = self.pair
         return TerminationRecord(
             t_stop=self.steps,
             final_sigma=sig,
             final_tau=tau,
             final_distance=d,
-            pre_stop_sigma=self.pair.sigma,
-            pre_stop_tau=self.pair.tau,
-            pre_stop=self.pair,
+            pre_stop_sigma=pair.sigma,
+            pre_stop_tau=pair.tau,
+            pre_stop=pair,
             pre_stop_blocks=table,
             rebuilds=self.rebuilds,
             blocks_built=self.blocks_built,
@@ -955,7 +1002,7 @@ def start_walk(pair: NeighboringPair, probs: FlipProbabilities) -> CoupledWalk:
     walk = CoupledWalk(pair, probs, None)
     walk._rebuild()
     absent = walk._absent
-    for i, c in enumerate(_block_keys(pair)[:-1]):
+    for i, c in enumerate(walk._keys[:-1]):
         if absent[i] is None:
             absent[i] = walk._absent_entry(c)
     return walk

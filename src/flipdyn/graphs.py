@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, output_file
 
@@ -126,17 +126,24 @@ def alternating_component(g: Graph, col: Coloring, v: int, c: int) -> frozenset[
         raise InputError(f"vertex {v} out of range")
     if not (0 <= c < col.k):
         raise InputError(f"color {c} out of range")
-    base = col.colors[v]
+    return _component(g.adj, col.colors, v, c)
+
+
+def _component(adj: tuple[tuple[int, ...], ...], cols: Sequence[int], v: int,
+               c: int) -> frozenset[int]:
+    """alternating_component on an adjacency tuple and a color sequence
+    (a list is fine), with no range check: the caller's v and c are in
+    range."""
+    base = cols[v]
     if c == base:
         return frozenset()
-    cols = col.colors
     seen = {v}
     frontier = [v]
     while frontier:
         nxt = []
         for x in frontier:
             want = c if cols[x] == base else base
-            for y in g.adj[x]:
+            for y in adj[x]:
                 if cols[y] == want and y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -215,7 +222,7 @@ def enumerate_flips(g: Graph, col: Coloring) -> Mapping[tuple[frozenset[int], in
 
 def _search_flips(g: Graph, col: Coloring) -> dict[tuple[frozenset[int], int, int], int]:
     """enumerate_flips' map, searched afresh."""
-    cols, k = col.colors, col.k
+    adj, cols, k = g.adj, col.colors, col.k
     keys: list[tuple[frozenset[int], int, int]] = []
     counts: list[int] = []
     # found[w * k + c]: the index in keys of the flip the draw (w, c)
@@ -230,7 +237,7 @@ def _search_flips(g: Graph, col: Coloring) -> dict[tuple[frozenset[int], int, in
             if i is not None:
                 counts[i] += 1
                 continue
-            comp = alternating_component(g, col, v, c)
+            comp = _component(adj, cols, v, c)
             lo, hi = (base, c) if base < c else (c, base)
             i = len(keys)
             keys.append((comp, lo, hi))
@@ -276,22 +283,15 @@ class NeighboringPair:
             counts[cols[u]] += 1
         return tuple(counts)
 
-    def _flipped_off_v(self, sigma: Coloring, tau: Coloring,
-                       comp: frozenset[int]) -> "NeighboringPair":
-        """The pair after a flip of comp applied to both sides away from v.
-
-        The caller guarantees that comp misses v, so v, s and t are
-        unchanged and the two sides still differ at v alone.  delta is
-        recounted over the neighbors of v when comp holds one of them, and
-        kept otherwise.
-        """
-        out = object.__new__(NeighboringPair)
-        out.graph, out.sigma, out.tau = self.graph, sigma, tau
-        out.v, out.s, out.t = self.v, self.s, self.t
-        if comp.isdisjoint(self.graph.adj[self.v]):
-            out._delta = self._delta
-        else:
-            out._delta = out._neighbor_counts()
+    @classmethod
+    def _unchecked(cls, graph: Graph, sigma: Coloring, tau: Coloring, v: int,
+                   delta: tuple[int, ...]) -> "NeighboringPair":
+        """The pair of two colorings the caller knows to differ at v alone,
+        with delta the counts of v's neighbors by color."""
+        out = object.__new__(cls)
+        out.graph, out.sigma, out.tau = graph, sigma, tau
+        out.v, out.s, out.t = v, sigma.colors[v], tau.colors[v]
+        out._delta = delta
         return out
 
     @property

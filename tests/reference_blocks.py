@@ -78,12 +78,11 @@ class _GenericBlock:
     N[visited()] carries.
     """
 
-    __slots__ = ("c", "s", "t", "colors", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets",
-                 "i_max", "j_max")
+    __slots__ = ("c", "s", "t", "u", "sv_sigma", "sv_tau", "a_sets", "b_sets", "i_max",
+                 "j_max")
 
     def __init__(self, pair: NeighboringPair, c: int):
         self.c, self.s, self.t = c, pair.s, pair.t
-        self.colors = (pair.s, pair.t, c)
         v = frozenset((pair.v,))
         if not pair.delta(c):
             self.u = self.a_sets = self.b_sets = ()
@@ -195,7 +194,6 @@ class _DisagreementBlock:
         g, sig, tau, v = pair.graph, pair.sigma, pair.tau, pair.v
         s, t = pair.s, pair.t
         self.s, self.t, self.v = s, t, v
-        self.colors = (s, t)
         self.x = neighbors_colored(pair, s)
         self.y = neighbors_colored(pair, t)
         self.lam = alternating_component(g, sig, v, t)

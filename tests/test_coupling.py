@@ -39,7 +39,7 @@ from flipdyn.classify import Stage, walk_stages
 from flipdyn.coupling import CoupledWalk, _difference_raw, start_walk
 import flipdyn.experiments as experiments
 from flipdyn.experiments import ExperimentConfig, _replica_rng
-from flipdyn.graphs import hamming, is_proper
+from flipdyn.graphs import flip, hamming, is_proper
 
 import reference_blocks
 import reference_masses
@@ -361,7 +361,7 @@ def check_block_properties(pair, probs):
     assert generic_component_mismatches(pair) == 0
     den = probs.scale * pair.graph.n * pair.k
     for blk in blocks_of(pair):
-        cached = coupling._CachedBlock(blk, pair.graph, probs, den)
+        cached = coupling._CachedBlock(blk, probs, den)
         assert cached.draws == sum(len(f[0]) for f in set(blk.sigma_flips()))
     dist = greedy_coupling_distribution(pair, probs)
     assert dist.noop_num >= 0
@@ -588,11 +588,18 @@ class TestWalkBlockCache:
         assert total >= 200
 
     @staticmethod
-    def _own_color_only(entry, comp, lo, hi):
-        # the color test narrowed to the block's last color: c for a
-        # generic block, t for the disagreement block
-        own = entry.colors[-1:]
-        return (lo in own or hi in own) and not comp.isdisjoint(entry.reads)
+    def _own_color_only(walk, x, comp, lo, hi):
+        # the drop rule with its color test narrowed to each block's own
+        # color: c for a generic block, t for the disagreement block
+        cache = walk._cache
+        if cache is None:
+            return
+        near = frozenset().union(*[walk._closed[w] for w in comp])
+        for i, entry in enumerate(cache):
+            blk = entry.block if entry is not None else None
+            own = blk.c if isinstance(blk, coupling._GenericBlock) else walk._t
+            if entry is not None and own in (lo, hi) and not near.isdisjoint(entry.visited):
+                cache[i] = None
 
     @staticmethod
     def _construction_mismatches():
@@ -610,10 +617,12 @@ class TestWalkBlockCache:
         # Leaving out either test of the drop rule only drops more blocks,
         # which stays correct; narrowing one keeps blocks that changed.
         if mutant == "colors":
-            monkeypatch.setattr(coupling._CachedBlock, "stale_after", self._own_color_only)
+            monkeypatch.setattr(CoupledWalk, "_drop", self._own_color_only)
         else:
-            # the read set without the neighbors of the visited vertices
-            monkeypatch.setattr(coupling, "_closed_neighborhood", lambda g, vs: frozenset(vs))
+            # comp tested in place of N[comp]: no vertex's closed
+            # neighborhood holds its neighbors
+            monkeypatch.setattr(coupling, "_closed_neighborhoods",
+                                lambda g: tuple(frozenset((w,)) for w in range(g.n)))
         assert self._construction_mismatches() >= 2
 
     def test_a_block_index_without_the_t_shift_is_caught(self, monkeypatch):
@@ -621,6 +630,75 @@ class TestWalkBlockCache:
         # of its own whenever the color lies above t
         monkeypatch.setattr(coupling, "_generic_index", lambda c, s, t: c - (c > s))
         assert self._construction_mismatches() >= 2
+
+
+class _PairCheck(CoupledWalk):
+    """A walk that reads its pair after every step and compares it with
+    the NeighboringPair validated afresh from the colorings its moves
+    give, applied to a copy: colors, v, s, t and delta.  stale counts
+    the steps whose pair differs, and moved those whose delta changed."""
+
+    def __init__(self, pair, probs, rng):
+        super().__init__(pair, probs, rng)
+        self.sides, self.stale, self.moved = (pair.sigma, pair.tau), 0, 0
+
+    def step(self):
+        before = self.pair._delta
+        move = super().step()
+        if move is not None:
+            sig, tau = self.sides
+            if move.sigma_flip is not None:
+                sig = flip(sig, *move.sigma_flip)
+            if move.tau_flip is not None:
+                tau = flip(tau, *move.tau_flip)
+            self.sides = sig, tau
+        if self._final is None:
+            p, fresh = self.pair, NeighboringPair(self.g, *self.sides)
+            self.stale += ((p.sigma, p.tau, p.v, p.s, p.t, p._delta)
+                           != (fresh.sigma, fresh.tau, fresh.v, fresh.s, fresh.t, fresh._delta))
+            self.moved += p._delta != before
+        return move
+
+
+def lazy_pair_mismatches(pair, probs, seeds, step_cap=3000):
+    """Run each seeded walk from pair twice, as a _PairCheck and as a walk
+    whose pair nothing reads before its record.  Returns the steps whose
+    pair was stale, the walks whose two runs differ in their outcome
+    (record, or the error raised), counters or final colorings, and the
+    steps whose delta changed."""
+    stale = differ = moved = 0
+    for seed in seeds:
+        read = _PairCheck(pair, probs, np.random.default_rng(seed))
+        unread = CoupledWalk(pair, probs, np.random.default_rng(seed))
+        got = outcome(read.run_until_distance_change, step_cap)
+        want = outcome(unread.run_until_distance_change, step_cap)
+        stale += read.stale
+        moved += read.moved
+        counters = [(w.steps, w.rebuilds, w.blocks_built, w.blocks_reused)
+                    for w in (read, unread)]
+        ends = got == want and (got is CapacityError
+                                or (got.final_sigma, got.final_tau) == read.sides)
+        differ += not ends or counters[0] != counters[1]
+    return stale, differ, moved
+
+
+class TestLazyPair:
+    """The pair a walk builds from its lists when read is the pair its
+    moves give, and reading it changes nothing in the walk."""
+
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_constructions(self, index):
+        pair = build_construction(ConstructionSpec(index, 6, 11))
+        for vec in sorted(VECTORS):
+            stale, differ, moved = lazy_pair_mismatches(pair, VECTORS[vec], range(20))
+            assert (stale, differ) == (0, 0), vec
+            assert moved > 0, vec
+
+    @settings(max_examples=200, derandomize=True)
+    @given(proper=st.booleans(), data=st.data(), vec=st.sampled_from(sorted(VECTORS)))
+    def test_bounded_degree_pairs(self, proper, data, vec):
+        pair = data.draw(bounded_degree_pairs(proper=proper))
+        assert lazy_pair_mismatches(pair, VECTORS[vec], range(3))[:2] == (0, 0)
 
 
 def retargeted(pair):
@@ -893,7 +971,7 @@ def block_mismatches(pair, probs):
     """The colors whose block differs from the two-pass reference in
     anything it reports: moves (order, flips and num), sigma flips, draws,
     visited and the signature of each color it holds (or the
-    error that raises), and, as the walk keeps it, reads, moves, floats,
+    error that raises), and, as the walk keeps it, visited, moves, floats,
     total and draws."""
     g = pair.graph
     den = probs.scale * g.n * pair.k
@@ -903,13 +981,13 @@ def block_mismatches(pair, probs):
         held = (pair.s, pair.t) if c == pair.s else (c,)
         moves = ref.moves(probs)
         vis = ref.visited()
-        cached = coupling._CachedBlock(blk, g, probs, den)
+        cached = coupling._CachedBlock(blk, probs, den)
         got = (blk.moves(probs), blk.sigma_flips(), blk.draws(), blk.visited(),
                [outcome(blk.signature, h) for h in held],
-               cached.reads, cached.moves, cached.floats, cached.total, cached.draws)
+               cached.visited, cached.moves, cached.floats, cached.total, cached.draws)
         want = (moves, ref.sigma_flips(), ref.draws(), vis,
                 [outcome(ref.signature, h) for h in held],
-                vis.union(*(g.adj[w] for w in vis)), moves, [num / den for *_, num in moves],
+                vis, moves, [num / den for *_, num in moves],
                 sum(num for *_, num in moves), ref.draws())
         if got != want or cached.block is not blk:
             differ.append(c)

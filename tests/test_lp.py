@@ -65,6 +65,9 @@ VIGODA_TIGHT = ALT_TIGHT | {
 
 MIXED_OPTIMUM = F(402041483, 219306718)
 GAMMA_PAPER = F(25597784, 10**6)
+# The abstract's epsilon_0 >= 9.4e-5: 11/6 minus the mixed optimum at
+# the paper's gamma, exactly.
+EPSILON_0 = F(31250, 328960077)
 
 
 class TestHValue:
@@ -310,6 +313,13 @@ class TestMixedProgram:
         assert sol.assignment["lam_bad"] == F(402103983, 219306718)
         assert sol.assignment["lam_good"] == F(800883243, 438613436)
         assert sol.assignment["lam_sing"] == MIXED_OPTIMUM
+
+    def test_epsilon_0_is_the_abstracts(self):
+        # k >= (11/6 - epsilon_0) d with epsilon_0 >= 9.4e-5, read from
+        # the solved program rather than from the pin above
+        sol = solve(build_mixed_lp(6, 3, GAMMA_PAPER, cap3=True))
+        assert F(11, 6) - sol.objective_value == EPSILON_0
+        assert F(94, 10**6) <= EPSILON_0 < F(95, 10**6)
 
     def test_gamma_grid_monotone(self):
         # Heavier gamma weakens the bad-block discount; the optimum
