@@ -74,6 +74,17 @@ tests this from the flip's side, N[S] against visited(), which is the
 same relation.  It flips identity draws in place, on a list of sigma's
 colors and a list of v's neighbor counts, and builds its
 NeighboringPair only when something reads it.
+
+A draw of the walk's combined class that finds a dropped block first
+asks whether it lands past every move of D, a no-op
+(CoupledWalk._past_d).  Kept blocks give their exact totals and draws,
+and dropped ones bounds read off v's neighbor counts (_dropped_bounds):
+a lower bound on the draws, which scale the draw, and an upper bound on
+the mass, which ends the table's cumulative floats.  One exact integer
+comparison, which allows for how the floats round, decides; such a draw
+returns None without a rebuild, and any other rebuilds and samples as
+before, so a table is built only for a draw the bounds cannot place
+past D.
 """
 
 from __future__ import annotations
@@ -658,11 +669,42 @@ class TerminationRecord:
 _BATCH = 4096
 # Uniforms a refill draws first; each later draw in the batch doubles them.
 _FIRST_UNIFORMS = 32
+# The most moves a table may hold for CoupledWalk._past_d to decide a draw,
+# and the relative slack 2**-_SLACK_BITS it allows the table's floats.
+_MAX_MOVES = 1 << 12
+_SLACK_BITS = 40
 
 
 def _closed_neighborhoods(g: Graph) -> tuple[frozenset[int], ...]:
     """N[w] for every vertex w of g: w and its neighbors."""
     return tuple(frozenset((w,) + nbrs) for w, nbrs in enumerate(g.adj))
+
+
+def _dropped_bounds(c: int, counts: Sequence[int], s: int, t: int, scale: int,
+                    two_p2: int) -> tuple[int, int]:
+    """A lower bound on the draws and an upper bound on the total of the
+    block of c (s for the disagreement block) at a pair with v's neighbor
+    counts counts, read off the counts alone.  scale is L = probs.scale
+    and two_p2 is 2 p_2 L; with p_1 = 1 and p nonincreasing, no move
+    exceeds L.
+    - A generic block with delta_c = 0 has total L and 1 draw, exactly.
+    - With delta_c >= 1, its two v-rooted moves have size at least 2 (at
+      most p_2 L each) and each entry adds at most L, so
+      total <= 2 p_2 L + delta_c L.  Its sigma side holds v and every
+      c-colored neighbor, and its b entries hold each of them again, so
+      draws >= 1 + 2 delta_c.
+    - The disagreement block's masses sum to at most p_lam + p_m plus
+      the mass of each of its at most delta_s + delta_t pure components,
+      so total <= (2 + delta_s + delta_t) L.  lam holds v and every
+      t-colored neighbor, and every s-colored neighbor lies in lam or in
+      a pure component, so draws >= 1 + delta_s + delta_t."""
+    if c == s:
+        d = counts[s] + counts[t]
+        return 1 + d, (2 + d) * scale
+    d = counts[c]
+    if d:
+        return 1 + 2 * d, two_p2 + d * scale
+    return 1, scale
 
 
 class _CachedBlock:
@@ -681,6 +723,10 @@ class _CachedBlock:
         floats: list[float] = []
         total = 0
         for _, _, num in self.moves:
+            # CoupledWalk._past_d bounds the table's last cumulative float
+            # by its total, which needs every term nonnegative
+            if num < 0:
+                raise InvariantError("a move of D has negative mass")
             floats.append(num / den)
             total += num
         self.floats, self.total = floats, total
@@ -732,10 +778,20 @@ class CoupledWalk:
     reuses it wherever delta_c = 0; a move of D drops these too.  Masses
     are integers over L * n * k (L = probs.scale), so the table's floats
     are num / (L * n * k), bit-identical to float(mass), and the move a
-    step returns carries num over L * n * k.  rebuilds counts the
-    rebuilds, and blocks_built and blocks_reused the blocks each built
-    and kept (a reused absent entry counts as built).  The walk ends with
-    the table its last move of D was drawn from, for the record.
+    step returns carries num over L * n * k.
+
+    A draw of the combined class that finds a dropped block asks _past_d
+    first, which decides from the kept blocks' exact totals and draws and
+    the dropped blocks' bounds (_dropped_bounds) whether the rebuilt
+    table would send it past every move of D.  If so the step returns
+    None and builds nothing; the dropped blocks wait for a draw that
+    needs them.  Otherwise it rebuilds, checks the draw budget and
+    samples as before, so every step returns what an always-rebuilding
+    walk returns.  rebuilds counts the rebuilds, that is the tables
+    built and sampled from, and blocks_built and blocks_reused the
+    blocks each built and kept (a reused absent entry counts as built).
+    The walk ends with the table its last move of D was drawn from, for
+    the record.
 
     CoupledWalk(pair, probs, rng) is lazy: it builds every block at its
     first rebuild.  Given start, a walk at this very pair and vector whose
@@ -783,12 +839,15 @@ class CoupledWalk:
         self._vs = self._cs = self._us = None
         if start is None:
             self._closed = _closed_neighborhoods(self.g)
+            # a table holds at most 2k - 1 + 2 deg(v) moves: _past_d's
+            # rounding argument needs fewer than 2**12
+            self._small_tables = 2 * (self.k + max(map(len, self._adj))) <= _MAX_MOVES
             return
         if start.pair is not pair or start.probs is not probs:
             raise InputError("the start walk is at another pair or vector")
         if start._cache is None:
             raise InputError("the start walk has no table: build it with start_walk")
-        self._closed = start._closed
+        self._closed, self._small_tables = start._closed, start._small_tables
         self._cache = list(start._cache)
         self._absent = list(start._absent)
         self._keys = start._keys
@@ -906,6 +965,49 @@ class CoupledWalk:
         self._q = q_draws / self.nk
         self._move_cum = list(itertools.accumulate(floats))
 
+    def _past_d(self, u: float) -> bool:
+        """True when a draw u of the combined class is sure to land past
+        every move of D, decided without building the dropped blocks.
+
+        lo <= q_draws and hi >= used sum a kept block's exact draws and
+        total, and _dropped_bounds for a dropped one.  Division and
+        multiplication round monotonically, so x = u * (lo / nk) is at
+        most the step's u * _q.  Each of the table's M floats num / den
+        exceeds its value by a factor at most 1 + 2**-53, and each of the
+        M - 1 additions of nonnegative terms (_CachedBlock refuses a
+        negative num) by another, so its last cumulative float is at most
+        (used / den)(1 + 2**-53)**M < (hi / den)(1 + 2**-40) when
+        M < 2**12 (then M 2**-53 < 2**-41, and e**y <= 1 + 2y for y <= 1).
+        A generic block has at most 2 + 2 delta_c moves and the
+        disagreement block at most 3 + delta_s + delta_t, so
+        M <= 2k - 1 + 2 deg(v), and _small_tables holds when 2k + 2 max deg
+        <= 2**12.  When x exceeds (hi / den)(1 + 2**-40), compared exactly
+        in integers, it is at or past the last cumulative float, and
+        bisect lands past every move."""
+        if not self._small_tables:
+            return False
+        cache, counts, s, t = self._cache, self._counts, self._s, self._t
+        probs = self.probs
+        scale, two_p2 = probs.scale, 2 * probs.mass_scaled(2)
+        if cache is None:
+            # every block dropped: one key per block, s for the
+            # disagreement block (the order does not matter to the sums)
+            keys = [c for c in range(self.k) if c != t]
+            cache = [None] * len(keys)
+        else:
+            keys = self._keys
+        lo, hi = self.n, 0
+        for c, entry in zip(keys, cache):
+            if entry is None:
+                draws, total = _dropped_bounds(c, counts, s, t, scale, two_p2)
+                lo += draws
+                hi += total
+            else:
+                lo += entry.draws
+                hi += entry.total
+        num, den = (u * (lo / self.nk)).as_integer_ratio()
+        return (num * self._den << _SLACK_BITS) > hi * ((1 << _SLACK_BITS) + 1) * den
+
     def step(self) -> Optional[CoupledMove]:
         """Advance one step; returns the applied move, or None for a no-op."""
         if self._idx >= self._ready:
@@ -955,6 +1057,8 @@ class CoupledWalk:
                 return None
 
         if self._cache is None or None in self._cache:
+            if self._past_d(u):
+                return None
             self._rebuild()
         i = bisect.bisect_right(self._move_cum, u * self._q)
         if i >= len(self._moves):

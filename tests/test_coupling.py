@@ -6,7 +6,7 @@ from unittest.mock import ANY
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from flipdyn import (
@@ -36,7 +36,7 @@ from flipdyn import (
 )
 import flipdyn.coupling as coupling
 from flipdyn.classify import Stage, walk_stages
-from flipdyn.coupling import CoupledWalk, _difference_raw, start_walk
+from flipdyn.coupling import CoupledWalk, TerminationRecord, _difference_raw, start_walk
 import flipdyn.experiments as experiments
 from flipdyn.experiments import ExperimentConfig, _replica_rng
 from flipdyn.graphs import flip, hamming, is_proper
@@ -44,7 +44,7 @@ from flipdyn.graphs import flip, hamming, is_proper
 import reference_blocks
 import reference_masses
 from reference_masses import is_terminating
-from conftest import neighboring_pairs, nonisomorphic_graphs
+from conftest import neighboring_pairs, nonisomorphic_graphs, small_graph_corpus
 
 F = Fraction
 
@@ -847,17 +847,18 @@ class TestWalkCounters:
         walk = CoupledWalk(pair, mixed_vector(), np.random.default_rng(10))
         rec = walk.run_until_distance_change(10**5)
         assert (rec.t_stop, rec.final_distance) == (35, 0)
-        # 8 rebuilds of 10 blocks; the first is a full build
-        assert (walk.blocks_built, walk.blocks_reused) == (29, 51)
+        # one full rebuild of 10 blocks: every other draw that finds a
+        # dropped block lands past every move of D, and _past_d tells
+        assert (walk.blocks_built, walk.blocks_reused) == (10, 0)
 
     def test_a_shared_start_skips_the_full_build(self):
         pair, probs = build_construction(ConstructionSpec(1, 6, 11)), mixed_vector()
         walk = CoupledWalk(pair, probs, np.random.default_rng(10), start_walk(pair, probs))
         rec = walk.run_until_distance_change(10**5)
         assert (rec.t_stop, rec.final_distance) == (35, 0)
-        # the same 8 rebuilds, but the first builds only the 2 blocks the
+        # the same one rebuild, which builds only the 7 blocks the
         # identity flips before it dropped from the start table
-        assert (walk.blocks_built, walk.blocks_reused) == (21, 59)
+        assert (walk.blocks_built, walk.blocks_reused) == (7, 3)
 
     def test_the_record_carries_the_counters(self):
         pair, probs = build_construction(ConstructionSpec(1, 6, 11)), mixed_vector()
@@ -866,7 +867,7 @@ class TestWalkCounters:
             rec = walk.run_until_distance_change(10**5)
             assert (rec.t_stop, rec.rebuilds, rec.blocks_built, rec.blocks_reused) == (
                 walk.steps, walk.rebuilds, walk.blocks_built, walk.blocks_reused)
-            assert rec.rebuilds == 8
+            assert rec.rebuilds == 1
 
 
 class _SegmentLog(CoupledWalk):
@@ -1085,3 +1086,177 @@ class TestPreStopTable:
     def test_only_the_pair_it_was_built_for_reads_it(self):
         own, other = pre_table_mismatches(range(20))
         assert (own, other) == (4 * 20 * 11, 0)
+
+
+class _AlwaysRebuild(CoupledWalk):
+    """The reference walk: its early test never fires, so a draw of the
+    combined class that finds a dropped block always rebuilds first."""
+
+    def _past_d(self, u):
+        return False
+
+
+def _move_key(move):
+    return None if move is None else (move.sigma_flip, move.tau_flip, move.num,
+                                      move.terminating)
+
+
+class _Shadowed(CoupledWalk):
+    """A walk that steps an _AlwaysRebuild reference with the same seed
+    beside it and counts the steps whose moves differ (flips, num and
+    terminating, or None on one side only)."""
+
+    def __init__(self, pair, probs, seed):
+        super().__init__(pair, probs, np.random.default_rng(seed))
+        self.ref = _AlwaysRebuild(pair, probs, np.random.default_rng(seed))
+        self.differ = 0
+
+    def step(self):
+        move = super().step()
+        self.differ += _move_key(move) != _move_key(self.ref.step())
+        return move
+
+
+def early_noop_mismatches(pair, probs, seeds, step_cap=3000):
+    """Run each seeded walk from pair beside an _AlwaysRebuild reference.
+    Returns the steps whose moves differ, the walks whose outcome (record
+    with its pre-stop table's moves, or the error raised) differs from a
+    reference run on its own, and the rebuilds the walks skipped."""
+    steps = records = skipped = 0
+    for seed in seeds:
+        walk = _Shadowed(pair, probs, seed)
+        got = outcome(walk.run_until_distance_change, step_cap)
+        want = outcome(_AlwaysRebuild(pair, probs, np.random.default_rng(seed))
+                       .run_until_distance_change, step_cap)
+        steps += walk.differ
+        if isinstance(got, TerminationRecord) and isinstance(want, TerminationRecord):
+            records += (got != want or [e.moves for e in got.pre_stop_blocks]
+                        != [e.moves for e in want.pre_stop_blocks])
+        else:
+            records += got != want
+        skipped += walk.ref.rebuilds - walk.rebuilds
+    return steps, records, skipped
+
+
+def construction_noop_mismatches(seeds):
+    """early_noop_mismatches summed over constructions 1-4 at d=6, k=11
+    and every vector."""
+    total = [0, 0, 0]
+    for index in (1, 2, 3, 4):
+        pair = build_construction(ConstructionSpec(index, 6, 11))
+        for vec in sorted(VECTORS):
+            for i, n in enumerate(early_noop_mismatches(pair, VECTORS[vec], seeds)):
+                total[i] += n
+    return tuple(total)
+
+
+_DROPPED_BOUNDS = coupling._dropped_bounds
+
+
+def _mass_zero(c, counts, s, t, scale, two_p2):
+    return _DROPPED_BOUNDS(c, counts, s, t, scale, two_p2)[0], 0
+
+
+def _no_p2_term(c, counts, s, t, scale, two_p2):
+    draws, total = _DROPPED_BOUNDS(c, counts, s, t, scale, two_p2)
+    return draws, total - (two_p2 if c != s and counts[c] else 0)
+
+
+def _three_draws_per_neighbor(c, counts, s, t, scale, two_p2):
+    draws, total = _DROPPED_BOUNDS(c, counts, s, t, scale, two_p2)
+    return draws + (counts[c] if c != s else 0), total
+
+
+class TestEarlyNoop:
+    """A draw that _past_d sends past every move of D without a rebuild
+    is one the rebuilt table sends there too: every step returns the move
+    the always-rebuilding reference returns, and every walk ends with its
+    record."""
+
+    def test_constructions(self):
+        steps, records, skipped = construction_noop_mismatches(range(150))
+        assert (steps, records) == (0, 0)
+        assert skipped > 1000
+
+    @settings(max_examples=200, derandomize=True)
+    @given(proper=st.booleans(), data=st.data(), vec=st.sampled_from(sorted(VECTORS)))
+    def test_bounded_degree_pairs(self, proper, data, vec):
+        pair = data.draw(bounded_degree_pairs(proper=proper))
+        assert early_noop_mismatches(pair, VECTORS[vec], range(5))[:2] == (0, 0)
+
+    @pytest.mark.parametrize("proper", [True, False])
+    def test_bounded_degree_pairs_reach_the_skip(self, proper):
+        # the property test above exercises the skip, not only the rebuild
+        pair = find(bounded_degree_pairs(proper=proper),
+                    lambda p: early_noop_mismatches(p, mixed_vector(), range(20))[2] > 0,
+                    settings=settings(derandomize=True, database=None))
+        assert early_noop_mismatches(pair, mixed_vector(), range(20))[:2] == (0, 0)
+
+    @pytest.mark.parametrize("mutant,seeds", [(_mass_zero, 10), (_no_p2_term, 150),
+                                              (_three_draws_per_neighbor, 150)])
+    def test_a_loose_bound_is_caught(self, mutant, seeds, monkeypatch):
+        # each mutant bound overstates a dropped block's draws or
+        # understates its total, so some draw that lands on a move of D
+        # is skipped as a no-op (walks that never stop make the first
+        # mutant slow, and it is caught at every seed)
+        monkeypatch.setattr(coupling, "_dropped_bounds", mutant)
+        assert sum(construction_noop_mismatches(range(seeds))[:2]) > 0
+
+
+def bound_violations(pair, vectors):
+    """The (color, vector) blocks of pair that break _dropped_bounds at
+    pair's neighbor counts: draws below its lower bound, total above its
+    upper bound, a negative num, or an absent color's block off the exact
+    values.  Each block is built once and read under every vector."""
+    s, t = pair.s, pair.t
+    den = pair.graph.n * pair.k
+    out = []
+    for c in coupling._block_keys(pair):
+        blk = coupling._block(pair, c)
+        exact = c != s and not pair.delta(c)
+        for vec in vectors:
+            probs = VECTORS[vec]
+            entry = coupling._CachedBlock(blk, probs, probs.scale * den)
+            lo, hi = coupling._dropped_bounds(c, pair._delta, s, t, probs.scale,
+                                              2 * probs.mass_scaled(2))
+            negative = any(n < 0 for *_, n in entry.moves)
+            if (entry.draws < lo or entry.total > hi or negative
+                    or exact and (entry.draws, entry.total) != (lo, hi)):
+                out.append((c, vec))
+    return out
+
+
+class TestDroppedBounds:
+    """Every block meets the bounds _past_d reads for a dropped one, under
+    every vector, and no block keeps a move of negative mass."""
+
+    def test_criterion_6_corpus(self):
+        checked = 0
+        for g in small_graph_corpus():
+            for k in (2, 3, 4):
+                for pair in neighboring_pairs(g, k, ordered=False):
+                    assert bound_violations(pair, sorted(VECTORS)) == [], pair
+                    checked += 1
+        assert checked == 22486
+
+    @settings(max_examples=300, derandomize=True)
+    @given(proper=st.booleans(), data=st.data())
+    def test_bounded_degree_pairs(self, proper, data):
+        pair = data.draw(bounded_degree_pairs(proper=proper))
+        assert bound_violations(pair, sorted(VECTORS)) == []
+
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_constructions_and_their_walks(self, index):
+        pair = build_construction(ConstructionSpec(index, 6, 11))
+        pairs = [p for vec in sorted(VECTORS) for p in walk_pairs(pair, VECTORS[vec], range(5))]
+        assert len(pairs) >= 30
+        for p in pairs:
+            assert bound_violations(p, sorted(VECTORS)) == []
+
+    def test_a_negative_move_raises(self, monkeypatch):
+        pair, probs = build_construction(ConstructionSpec(1, 6, 11)), mixed_vector()
+        # no move exceeds L, so this leaves the first move of the first
+        # generic block built below zero
+        _inflate_first_block(monkeypatch, -probs.scale - 1)
+        with pytest.raises(InvariantError, match="negative"):
+            CoupledWalk(pair, probs, np.random.default_rng(0))._rebuild()
