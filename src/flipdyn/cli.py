@@ -99,7 +99,11 @@ def _cmd_lp_build(args) -> int:
 def _cmd_lp_solve(args) -> int:
     inst = _build_lp_from_args(args)
     create_output(args.out)
+    create_output(args.stats)
     sol = lp_mod.solve(inst)
+    if args.stats:
+        with output_file(args.stats) as fh:
+            fh.write(json.dumps(lp_mod.stats_payload(sol), sort_keys=True, indent=2) + "\n")
     if sol.status != "optimal":
         print(f"status: {sol.status}", file=sys.stderr)
         return 1
@@ -329,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", action="store_true")
     s.add_argument("--out", help="write solution JSON here")
     s.add_argument("--cross-check", action="store_true", help="float re-solve")
+    s.add_argument("--stats", help="write each round's work and timings to this JSON "
+                                   "file (not part of the report)")
     s.set_defaults(fn=_cmd_lp_solve)
     sl = lp_sub.add_parser("slack", help="exact slacks of a probability vector")
     _add_lp_flags(sl)

@@ -791,7 +791,10 @@ class CoupledWalk:
     built and sampled from, and blocks_built and blocks_reused the
     blocks each built and kept (a reused absent entry counts as built).
     The walk ends with the table its last move of D was drawn from, for
-    the record.
+    the record, and run_until_distance_change refuses a walk that has
+    ended.  step() does not check: it keeps drawing from the pre-stop
+    lists, which only a caller that reads the draw stream past the end
+    (a test of the coin batches) wants.
 
     CoupledWalk(pair, probs, rng) is lazy: it builds every block at its
     first rebuild.  Given start, a walk at this very pair and vector whose
@@ -1077,7 +1080,13 @@ class CoupledWalk:
         return move
 
     def run_until_distance_change(self, step_cap: int) -> TerminationRecord:
-        self._final = None
+        """Step until the distance leaves 1 and report how the walk ended.
+
+        A walk runs to its end once: its lists stay at the pre-stop pair,
+        which the chain has left, so a second call raises InvariantError.
+        """
+        if self._final is not None:
+            raise InvariantError("the walk has already ended")
         while self._final is None:
             if self.steps >= step_cap:
                 raise CapacityError(f"no distance change within {step_cap} steps")

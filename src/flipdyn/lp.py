@@ -62,6 +62,7 @@ import itertools
 import json
 import math
 import re
+import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,7 +73,7 @@ import numpy as np
 from .coupling import _argmax_lowest
 from .dynamics import FlipProbabilities, fraction_str
 from .errors import InputError, InvariantError, output_file
-from .simplex import SimplexResult, solve_simplex
+from .simplex import Row, SimplexResult, solve_simplex
 
 ZERO = Fraction(0)
 
@@ -136,6 +137,12 @@ class LinearConstraint:
 
     def slack(self, assignment: dict[str, Fraction]) -> Fraction:
         return self.rhs - self.lhs_value(assignment)
+
+    @functools.cached_property
+    def simplex_row(self) -> Row:
+        """This row as solve_simplex's (coeffs, rel, rhs) triple, made once:
+        every solve that passes it reuses the integer form kept on it."""
+        return Row((dict(self.coeffs), self.rel, self.rhs))
 
 
 def _mk_constraint(label: str, coeffs: dict[str, Fraction], rel: str, rhs) -> LinearConstraint:
@@ -391,13 +398,28 @@ class RoundStats:
 
 
 @dataclass(frozen=True)
+class RoundTimes:
+    """Where one round's time went, in seconds: the exact simplex, the
+    float scan and the integer certification (scaled_slacks)."""
+
+    simplex_s: float
+    scan_s: float = 0.0
+    certify_s: float = 0.0
+
+
+@dataclass(frozen=True)
 class LPSolution:
+    """A solve's result.  round_times varies from run to run, so it takes
+    no part in equality or repr, and no report but `lp solve --stats`
+    reads it."""
+
     status: str
     objective_value: Optional[Fraction]
     assignment: dict[str, Fraction]
     rounds: int = 0
     active_constraints: int = 0
     round_stats: tuple[RoundStats, ...] = ()
+    round_times: tuple[RoundTimes, ...] = field(default=(), compare=False, repr=False)
 
 
 def _monotone(n_max: int) -> list[LinearConstraint]:
@@ -574,30 +596,43 @@ def solve(lp: LPInstance) -> LPSolution:
     maximizing branch of up to 50 violated tuples: the float candidates
     that are exactly violated, largest float violation first, or the
     first exact violations when the floats confirm none.
+
+    Every round hands solve_simplex its working set as (coeffs, rel, rhs)
+    triples, each row's LinearConstraint.simplex_row: the same object in
+    every round (and every solve, for the structural rows), so the
+    simplex derives a row's integer form once.  round_stats counts each
+    round's work; round_times times its simplex, float scan and exact
+    certification, for `lp solve --stats` alone.
     """
     active: list[LinearConstraint] = list(lp.constraints)
     added_labels: set[str] = set()
     objective = {lp.objective_var: Fraction(1)}
     n_max = lp.meta.get("n_max", 0)
     stats: list[RoundStats] = []
+    times: list[RoundTimes] = []
     for rounds in range(1, _MAX_ROUNDS + 1):
+        t0 = time.perf_counter()
         res: SimplexResult = solve_simplex(
-            lp.variables, [(dict(c.coeffs), c.rel, c.rhs) for c in active], objective
+            lp.variables, [c.simplex_row for c in active], objective
         )
+        t1 = time.perf_counter()
         if res.status != "optimal":
             stats.append(RoundStats(len(active), 0, 0, res.phase1_pivots, res.phase2_pivots))
+            times.append(RoundTimes(t1 - t0))
             return LPSolution(status=res.status, objective_value=None, assignment={},
                               rounds=rounds, active_constraints=len(active),
-                              round_stats=tuple(stats))
+                              round_stats=tuple(stats), round_times=tuple(times))
         assignment = res.assignment
         pf = [0.0, *(float(assignment.get(_pvar(i), ZERO)) for i in range(1, n_max + 1)), 0.0]
         lam_of = {v: float(assignment.get(v, ZERO)) for v in lp.variables if v.startswith("lam")}
         candidates = [(viol, fam, t) for fam in lp.families
                       for viol, t in fam.scan(pf, lam_of, tol=1e-12)]
+        t2 = time.perf_counter()
         exact: list[tuple[HFamily, tuple]] = []
         for fam in lp.families:
             _, s = fam.scaled_slacks(assignment)
             exact += [(fam, fam.table.tuple_at(k)) for k in np.flatnonzero(s < 0).tolist()]
+        times.append(RoundTimes(t1 - t0, t2 - t1, time.perf_counter() - t2))
         violated = set(exact)
         confirmed = sorted((e for e in candidates if e[1:] in violated), key=lambda e: -e[0])
         stats.append(RoundStats(len(active), len(candidates), len(confirmed) or len(exact),
@@ -606,7 +641,8 @@ def solve(lp: LPInstance) -> LPSolution:
             return LPSolution(status="optimal",
                               objective_value=assignment.get(lp.objective_var, ZERO),
                               assignment=assignment, rounds=rounds,
-                              active_constraints=len(active), round_stats=tuple(stats))
+                              active_constraints=len(active), round_stats=tuple(stats),
+                              round_times=tuple(times))
         to_add = [e[1:] for e in confirmed[:50]] or exact[:50]
 
         # prune inactive previously-added family branches to keep the
@@ -822,6 +858,34 @@ def solution_payload(sol: LPSolution) -> dict:
         "objective": None if obj is None else fraction_str(obj),
         "assignment": {v: fraction_str(x) for v, x in sorted(sol.assignment.items())},
         "rounds": sol.rounds,
+    }
+
+
+def stats_payload(sol: LPSolution) -> dict:
+    """The `lp solve --stats` sidecar: each round's work (round_stats) and
+    time (round_times), with microseconds per pivot, and the totals."""
+    rounds = []
+    for k, (work, times) in enumerate(zip(sol.round_stats, sol.round_times), 1):
+        pivots = work.phase1_pivots + work.phase2_pivots
+        rounds.append({
+            "round": k,
+            "active_rows": work.active_rows,
+            "phase1_pivots": work.phase1_pivots,
+            "phase2_pivots": work.phase2_pivots,
+            "simplex_s": times.simplex_s,
+            "scan_s": times.scan_s,
+            "certify_s": times.certify_s,
+            "us_per_pivot": times.simplex_s / pivots * 1e6 if pivots else 0.0,
+        })
+    pivots = sum(r["phase1_pivots"] + r["phase2_pivots"] for r in rounds)
+    simplex_s = sum(r["simplex_s"] for r in rounds)
+    return {
+        "rounds": rounds,
+        "pivots": pivots,
+        "simplex_s": simplex_s,
+        "scan_s": sum(r["scan_s"] for r in rounds),
+        "certify_s": sum(r["certify_s"] for r in rounds),
+        "us_per_pivot": simplex_s / pivots * 1e6 if pivots else 0.0,
     }
 
 

@@ -611,3 +611,47 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestLpStats:
+    """`lp solve --stats FILE`: each round's work and timings in a sidecar,
+    none of it in the report."""
+
+    def test_sidecar_leaves_the_json_alone(self, tmp_path, capsys):
+        argv = ["lp", "solve", "--kind", "vigoda", "--nmax", "5", "--json"]
+        code, plain, _ = run(argv, capsys)
+        path = tmp_path / "stats.json"
+        code_stats, with_stats, _ = run(argv + ["--stats", str(path)], capsys)
+        assert (code, code_stats) == (0, 0)
+        assert with_stats == plain
+        stats = json.loads(path.read_text())
+        rounds = json.loads(plain)["round_stats"]
+        assert [(r["round"], r["active_rows"], r["phase1_pivots"], r["phase2_pivots"])
+                for r in stats["rounds"]] == [
+            (k, r["active_rows"], r["phase1_pivots"], r["phase2_pivots"])
+            for k, r in enumerate(rounds, 1)]
+        assert stats["pivots"] == sum(r["phase1_pivots"] + r["phase2_pivots"] for r in rounds)
+        for r in stats["rounds"]:
+            assert r["simplex_s"] > 0 and r["scan_s"] > 0 and r["certify_s"] > 0
+            pivots = r["phase1_pivots"] + r["phase2_pivots"]
+            assert r["us_per_pivot"] == pytest.approx(r["simplex_s"] / pivots * 1e6)
+        assert stats["simplex_s"] == pytest.approx(sum(r["simplex_s"] for r in stats["rounds"]))
+
+    def test_timings_stay_out_of_the_solution(self):
+        sol = lp_mod.solve(lp_mod.build_tight_lp())
+        assert len(sol.round_times) == sol.rounds
+        assert sol == dataclasses.replace(sol, round_times=())
+        assert "round_times" not in repr(sol)
+        assert [dataclasses.asdict(r) for r in sol.round_stats] == [
+            {"active_rows": 17, "candidates": 0, "confirmed": 0,
+             "phase1_pivots": 17, "phase2_pivots": 3}]
+
+    def test_unwritable_stats_fails_before_solving(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the stats path was checked")
+
+        monkeypatch.setattr(lp_mod, "solve", no_solve)
+        path = str(tmp_path / "missing" / "stats.json")
+        code, out, err = run(["lp", "solve", "--kind", "tight", "--stats", path], capsys)
+        assert (code, out) == (2, "")
+        assert f"input error: cannot write {path}" in err

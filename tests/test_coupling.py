@@ -1260,3 +1260,15 @@ class TestDroppedBounds:
         _inflate_first_block(monkeypatch, -probs.scale - 1)
         with pytest.raises(InvariantError, match="negative"):
             CoupledWalk(pair, probs, np.random.default_rng(0))._rebuild()
+
+
+def test_a_walk_runs_to_its_end_once():
+    # the walk's lists stay at the pre-stop pair, which the chain has left:
+    # a second run would step on from there, so it is refused
+    walk = CoupledWalk(build_construction(ConstructionSpec(1, 6, 11)), mixed_vector(),
+                       np.random.default_rng(3))
+    rec = walk.run_until_distance_change(10**5)
+    assert (rec.t_stop, rec.final_distance) == (3, 0)
+    with pytest.raises(InvariantError, match="already ended"):
+        walk.run_until_distance_change(10**5)
+    assert walk.steps == 3

@@ -20,8 +20,10 @@ import flipdyn.lp as lp_mod
 import reference_simplex
 from conftest import simplex_calls
 from flipdyn import InputError, build_tight_lp, build_vigoda_lp, solve
+from flipdyn.lp import LinearConstraint, LPInstance
 import flipdyn.simplex as simplex
 from flipdyn.simplex import solve_simplex
+from test_golden import SIMPLEX_PROGRAMS
 
 F = Fraction
 
@@ -258,3 +260,81 @@ def test_input_errors():
         solve_simplex(["a"], [({"b": F(1)}, "<=", F(0))], {})
     with pytest.raises(InputError):
         solve_simplex(["a"], [], {"b": F(1)})
+
+
+def pivot_forms(monkeypatch):
+    """A set that gains (dtype, all s = 1) for every pivot: which update
+    the kernel takes, read from the tableau before the pivot.  s_i is
+    pden / gcd(c_i, pden), with pden the pivot row's entry in the entering
+    column and c_i row i's, so every s is 1 when pden divides every c_i."""
+    seen = set()
+    pivot = simplex._pivot
+
+    def classified(tab, cols, basis, r, e):
+        q = int(np.flatnonzero(cols == e)[0])
+        pden = abs(tab.a[r, q])
+        c = np.delete(tab.a[:, q], r)
+        seen.add((tab.a.dtype, not (c % pden).any()))
+        pivot(tab, cols, basis, r, e)
+
+    monkeypatch.setattr(simplex, "_pivot", classified)
+    return seen
+
+
+@pytest.mark.parametrize("bound, dtype", [(simplex._INT64_BOUND, np.int64), (2**8, object)],
+                         ids=["int64", "python-ints"])
+def test_both_update_forms_run(bound, dtype, monkeypatch):
+    # the s = 1 update touches only the pivot row's nonzero columns, the
+    # other scales and subtracts whole rows; the pinned programs take both
+    monkeypatch.setattr(simplex, "_INT64_BOUND", bound)
+    seen = pivot_forms(monkeypatch)
+    for build in SIMPLEX_PROGRAMS.values():
+        solve(build())
+    assert {(np.dtype(dtype), True), (np.dtype(dtype), False)} <= seen
+
+
+def test_the_guard_covers_the_column_update(pivot_dtypes):
+    # x enters on row 0, whose x coefficient 1 divides every other, so
+    # every s is 1 and only prow's nonzero columns are updated; row 1's y
+    # entry becomes 0 - 2**40 * 2**40, so the tableau must turn first
+    program = (["x", "y"],
+               [({"x": F(1), "y": F(2**40)}, "<=", F(1)), ({"x": F(2**40)}, "<=", F(2**41))],
+               {"x": F(-1), "y": F(-1)})
+    assert solve_simplex(*program) == reference_simplex.solve_simplex(*program)
+    assert pivot_dtypes[0] == (np.dtype(np.int64), np.dtype(object))
+
+
+def test_one_row_serves_programs_with_any_variable_order():
+    # the integer form a row keeps is keyed by variable name: the same
+    # LinearConstraint objects solve a program and its column permutations
+    rows = (
+        LinearConstraint("a", (("x", F(1, 2)), ("y", F(1, 3))), "<=", F(1)),
+        LinearConstraint("b", (("x", F(-1)), ("y", F(-2)), ("z", F(-1, 5))), "<=", F(-3, 2)),
+        LinearConstraint("c", (("x", F(-1, 7)), ("z", F(1))), "<=", F(2)),
+        LinearConstraint("d", (("y", F(3)), ("z", F(-2))), "==", F(1, 4)),
+    )
+    objective = {"x": F(2), "y": F(-1), "z": F(3)}
+    for order in (("x", "y", "z"), ("z", "x", "y"), ("y", "z", "x")):
+        triples = [(dict(c.coeffs), c.rel, c.rhs) for c in rows]
+        want = reference_simplex.solve_simplex(order, triples, objective)
+        assert want.status == "optimal"
+        assert solve_simplex(order, [c.simplex_row for c in rows], objective) == want
+        # and through lp.solve, whose rows carry their form from the
+        # earlier orders
+        sol = solve(LPInstance("shared", order, rows, (), "z"))
+        want = reference_simplex.solve_simplex(order, triples, {"z": F(1)})
+        assert (sol.status, sol.assignment) == (want.status, want.assignment)
+    assert all("form" in vars(c.simplex_row) for c in rows)
+
+
+def test_a_second_solve_takes_the_same_path():
+    # the second solve reads the forms the first kept on the structural
+    # rows; a fresh instance derives them again
+    def records(inst):
+        with simplex_calls() as calls:
+            solve(inst)
+        return [(len(c["args"][1]), c["result"], c["pivots"]) for c in calls]
+
+    inst = build_vigoda_lp(6, 2)
+    first = records(inst)
+    assert records(inst) == first == records(build_vigoda_lp(6, 2))
