@@ -38,8 +38,10 @@ A float cross-check against scipy's linprog on the fully expanded
 program is available separately.
 
 Each HFamily builds, on first use, one TupleTable: its tuples in
-enumeration order as int8 numpy columns (a, b, A, B, the argmax indices
-and an index into the family's lam variables).  Three passes read it,
+enumeration order as int8 numpy columns (a, b, A, B and an index into the
+family's lam variables), with the per-tuple values every evaluation of H
+reads (A - max a - 1, B - max b - 1, and bool masks of the lowest argmax
+of a and of b).  Three passes read it,
 evaluating the min-form of H column by column in the operation order of
 h_value.  The float scan does so in float64, so its violations are
 bit-identical to a per-tuple float loop.  Floats only rank: their order
@@ -51,7 +53,10 @@ every intermediate fits and in Python ints otherwise.  Every round of
 solve takes its violations, and its final certification, from that
 integer pass, as does slack_report.  h_value and HFamily.tuple_slack
 stay the per-tuple reference the tests compare against; solve calls
-neither.
+neither.  The rest of a round is in integers too: each violated tuple's
+maximizing branch is read from h_value's min-form (max_branch), and the
+prune, like slack_report's structural slacks, evaluates each row's
+integer form over one common denominator of the assignment.
 """
 
 from __future__ import annotations
@@ -116,6 +121,29 @@ def h_value(
     return total
 
 
+def max_branch(pv, a: tuple[int, ...], b: tuple[int, ...], A: int, B: int) -> str:
+    """The branch of tuple (a, b, A, B) whose row has the largest lhs - rhs.
+
+    pv[alpha] is p_alpha, for alpha in 0..n_max + 1, over any common
+    positive denominator (integers or Fractions).  In h_value's min-form
+    the branch row subtracts q_i where it reads 'a' and q'_i where it reads
+    'b', so 'b' exactly where q'_i < q_i: of the rows that tie for the
+    largest value this is the first in product("ab") order.
+    """
+    i_max, j_max = _argmax_lowest(a), _argmax_lowest(b)
+    return "".join(
+        "b" if pv[y] - (pv[B] if i == j_max else 0) < pv[x] - (pv[A] if i == i_max else 0)
+        else "a"
+        for i, (x, y) in enumerate(zip(a, b))
+    )
+
+
+def _over_lcm(values) -> tuple[int, list[int]]:
+    """Rationals as (L, numerators over L), L the lcm of their denominators."""
+    L = math.lcm(*(x.denominator for x in values))
+    return L, [x.numerator * (L // x.denominator) for x in values]
+
+
 def g_surrogate(probs, a: int, b: int) -> Fraction:
     """a p_a + b p_b - min(p_a, p_b), the two-entry surrogate cost."""
     pm = _mass_fn(probs)
@@ -132,17 +160,26 @@ class LinearConstraint:
     rel: str
     rhs: Fraction
 
-    def lhs_value(self, assignment: dict[str, Fraction]) -> Fraction:
-        return sum((c * assignment.get(v, ZERO) for v, c in self.coeffs), ZERO)
-
-    def slack(self, assignment: dict[str, Fraction]) -> Fraction:
-        return self.rhs - self.lhs_value(assignment)
-
     @functools.cached_property
     def simplex_row(self) -> Row:
         """This row as solve_simplex's (coeffs, rel, rhs) triple, made once:
         every solve that passes it reuses the integer form kept on it."""
         return Row((dict(self.coeffs), self.rel, self.rhs))
+
+
+def _scaled_assignment(assignment: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """(D, numerators over D) of an assignment, D its common denominator."""
+    D, nums = _over_lcm(list(assignment.values()))
+    return D, dict(zip(assignment, nums))
+
+
+def _slack_over(c: LinearConstraint, D: int, X: dict[str, int]) -> tuple[int, int]:
+    """c's slack rhs - lhs as (numerator, positive denominator), read from
+    the integer form kept on its simplex row; X holds the numerators over D
+    of the assignment (_scaled_assignment), variables absent from it 0."""
+    f = c.simplex_row.form
+    s = f.rhs * D - sum(n * X.get(v, 0) for v, n in f.nums.items())
+    return (-s if f.negated else s), f.den * D
 
 
 def _mk_constraint(label: str, coeffs: dict[str, Fraction], rel: str, rhs) -> LinearConstraint:
@@ -168,19 +205,22 @@ def _row(label: str, terms, rel: str, rhs, n_max: int) -> LinearConstraint:
     return _mk_constraint(label, coeffs, rel, rhs)
 
 
-def _min_rows(label: str, terms, mins, rhs, n_max: int) -> list[LinearConstraint]:
+def _min_rows(label: str, terms, mins, rhs, n_max: int, branches=None) -> list[LinearConstraint]:
     """terms - sum_i min(x_i, y_i) <= rhs as its 2^len(mins) linear rows.
 
     mins holds (x_i, y_i) pairs of term lists.  Row label/br=<s> subtracts
     x_i where s[i] is 'a' and y_i where it is 'b'; the rows come in
     itertools.product order, and their conjunction is the min() form.
+    branches, if given, names the rows to build instead, in its order.
     """
+    if branches is None:
+        branches = itertools.product("ab", repeat=len(mins))
     return [
         _row(f"{label}/br={''.join(branch)}",
              [*terms, *((v, -w) for pick, (x, y) in zip(branch, mins)
                         for v, w in (x if pick == "a" else y))],
              "<=", rhs, n_max)
-        for branch in itertools.product("ab", repeat=len(mins))
+        for branch in branches
     ]
 
 
@@ -217,8 +257,9 @@ class HFamily:
                 for B in range(b_lo, b_hi + 1):
                     yield a, b, A, B
 
-    def branch_constraints(self, a, b, A, B) -> list[LinearConstraint]:
-        """The 2^m linear forms whose conjunction is H(A,B,a,b) <= rhs.
+    def branch_constraints(self, a, b, A, B, branches=None) -> list[LinearConstraint]:
+        """The 2^m linear forms whose conjunction is H(A,B,a,b) <= rhs, or
+        only those that branches names (see _min_rows).
 
         H is h_value's min-form: q_i = p_{a_i} - [i = i_max] p_A and q'_i
         likewise, each a term list for _min_rows.
@@ -230,7 +271,8 @@ class HFamily:
                  *((v, x * w) for x, qi in zip(a, q) for v, w in qi),
                  *((v, y * w) for y, qi in zip(b, qp) for v, w in qi),
                  (self.lam_var_for(a, b, A, B), -self.m)]
-        return _min_rows(self.label_for(a, b, A, B), terms, list(zip(q, qp)), -1, self.n_max)
+        return _min_rows(self.label_for(a, b, A, B), terms, list(zip(q, qp)), -1, self.n_max,
+                         branches)
 
     def tuple_slack(self, a, b, A, B, assignment: dict[str, Fraction]) -> Fraction:
         """Exact slack of one tuple through h_value: the reference that
@@ -254,13 +296,13 @@ class HFamily:
         """
         t = self.table
         pA, pB = pv[t.A], pv[t.B]
-        h = (t.A.astype(work) - t.a.max(axis=1).astype(work) - 1) * pA
-        h += (t.B.astype(work) - t.b.max(axis=1).astype(work) - 1) * pB
+        h = t.a_rest.astype(work) * pA
+        h += t.b_rest.astype(work) * pB
         for i in range(self.m):
             q = pv[t.a[:, i]]
-            q -= np.where(t.i_max == i, pA, 0)
+            q -= np.where(t.at_i_max[i], pA, 0)
             qp = pv[t.b[:, i]]
-            qp -= np.where(t.j_max == i, pB, 0)
+            qp -= np.where(t.at_j_max[i], pB, 0)
             term = t.a[:, i].astype(work) * q
             term += t.b[:, i].astype(work) * qp
             term -= np.where(qp < q, qp, q)  # min(q, qp), ties to q
@@ -278,9 +320,8 @@ class HFamily:
         t, m, n = self.table, self.m, self.n_max
         pvals = [Fraction(assignment.get(_pvar(i), ZERO)) for i in range(1, n + 1)]
         lams = [Fraction(assignment.get(v, ZERO)) for v in t.lam_names]
-        L = math.lcm(*(x.denominator for x in pvals + lams))
-        P = [0] + [x.numerator * (L // x.denominator) for x in pvals] + [0]
-        lam_L = [x.numerator * (L // x.denominator) for x in lams]
+        L, nums = _over_lcm(pvals + lams)
+        P, lam_L = [0, *nums[:n], 0], nums[n:]
         bound = (L + m * max(map(abs, lam_L), default=0)
                  + (2 * (n + 1) + m * (4 * n + 2)) * max(map(abs, P)))
         work = np.int64 if bound < 2**62 else object
@@ -312,19 +353,24 @@ class HFamily:
 class TupleTable:
     """One family's tuples (a, b, A, B) as numpy columns, in tuples() order.
 
-    a and b are (T, m); A, B, the argmax indices i_max, j_max (lowest
-    index attaining the max) and lam, an index into lam_names, are (T,).
-    All are int8 (int16 beyond support 126).
+    a and b are (T, m), each a view of an (m, T) array so that every entry
+    column a[:, i] is contiguous; A, B and lam, an index into lam_names,
+    are (T,).  Kept with them, since every evaluation of H reads them:
+    a_rest = A - max a - 1 and b_rest = B - max b - 1, (T,), and the
+    (m, T) bool masks at_i_max[i] (i is the lowest index attaining max a)
+    and at_j_max.  The integer columns are int8 (int16 beyond support 126).
     """
 
     a: "np.ndarray"
     b: "np.ndarray"
     A: "np.ndarray"
     B: "np.ndarray"
-    i_max: "np.ndarray"
-    j_max: "np.ndarray"
     lam: "np.ndarray"
     lam_names: tuple[str, ...]
+    a_rest: "np.ndarray"
+    b_rest: "np.ndarray"
+    at_i_max: "np.ndarray"
+    at_j_max: "np.ndarray"
 
     @classmethod
     def build(cls, fam: HFamily) -> "TupleTable":
@@ -341,9 +387,13 @@ class TupleTable:
             flat.extend(b)
             flat.extend((A, B, i_max, j_max, lam))
         rows = np.frombuffer(flat, dtype=dtype).reshape(-1, 2 * m + 5)
-        cols = [np.ascontiguousarray(rows[:, j]) for j in range(2 * m, 2 * m + 5)]
-        return cls(np.ascontiguousarray(rows[:, :m]), np.ascontiguousarray(rows[:, m:2 * m]),
-                   *cols, lam_names=tuple(lam_index))
+        a, b = (np.ascontiguousarray(rows[:, k:k + m].T).T for k in (0, m))
+        A, B, i_max, j_max, lam = (np.ascontiguousarray(rows[:, j])
+                                   for j in range(2 * m, 2 * m + 5))
+        index = np.arange(m)[:, None]
+        return cls(a, b, A, B, lam, tuple(lam_index),
+                   a_rest=A - a.max(axis=1) - 1, b_rest=B - b.max(axis=1) - 1,
+                   at_i_max=i_max == index, at_j_max=j_max == index)
 
     def tuple_at(self, k: int) -> tuple[tuple, tuple, int, int]:
         return (tuple(self.a[k].tolist()), tuple(self.b[k].tolist()),
@@ -400,11 +450,13 @@ class RoundStats:
 @dataclass(frozen=True)
 class RoundTimes:
     """Where one round's time went, in seconds: the exact simplex, the
-    float scan and the integer certification (scaled_slacks)."""
+    float scan, the integer certification (scaled_slacks) and the choice
+    of the next working set (the prune and the branch picks)."""
 
     simplex_s: float
     scan_s: float = 0.0
     certify_s: float = 0.0
+    select_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -595,14 +647,19 @@ def solve(lp: LPInstance) -> LPSolution:
     program, hence optimal for it.  Otherwise the round adds the
     maximizing branch of up to 50 violated tuples: the float candidates
     that are exactly violated, largest float violation first, or the
-    first exact violations when the floats confirm none.
+    first exact violations when the floats confirm none.  A tuple's
+    maximizing branch is read from h_value's min-form (max_branch), and
+    only its row is built; the added rows that are slack at the optimum
+    are pruned first.  Both decisions are exact, in integers over one
+    common denominator of the optimum.
 
     Every round hands solve_simplex its working set as (coeffs, rel, rhs)
     triples, each row's LinearConstraint.simplex_row: the same object in
     every round (and every solve, for the structural rows), so the
-    simplex derives a row's integer form once.  round_stats counts each
-    round's work; round_times times its simplex, float scan and exact
-    certification, for `lp solve --stats` alone.
+    simplex derives a row's integer form once, and the prune reads its
+    slack from that form.  round_stats counts each round's work;
+    round_times times its simplex, float scan, exact certification and
+    selection, for `lp solve --stats` alone.
     """
     active: list[LinearConstraint] = list(lp.constraints)
     added_labels: set[str] = set()
@@ -632,12 +689,13 @@ def solve(lp: LPInstance) -> LPSolution:
         for fam in lp.families:
             _, s = fam.scaled_slacks(assignment)
             exact += [(fam, fam.table.tuple_at(k)) for k in np.flatnonzero(s < 0).tolist()]
-        times.append(RoundTimes(t1 - t0, t2 - t1, time.perf_counter() - t2))
+        t3 = time.perf_counter()
         violated = set(exact)
         confirmed = sorted((e for e in candidates if e[1:] in violated), key=lambda e: -e[0])
         stats.append(RoundStats(len(active), len(candidates), len(confirmed) or len(exact),
                                 res.phase1_pivots, res.phase2_pivots))
         if not exact:
+            times.append(RoundTimes(t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3))
             return LPSolution(status="optimal",
                               objective_value=assignment.get(lp.objective_var, ZERO),
                               assignment=assignment, rounds=rounds,
@@ -647,14 +705,18 @@ def solve(lp: LPInstance) -> LPSolution:
 
         # prune inactive previously-added family branches to keep the
         # working set small; structural constraints always stay
-        active = [c for c in active if c.label not in added_labels or c.slack(assignment) <= 0]
+        D, X = _scaled_assignment(assignment)
+        active = [c for c in active
+                  if c.label not in added_labels or _slack_over(c, D, X)[0] <= 0]
         labels = {c.label for c in active}
+        pv = [0, *(X.get(_pvar(i), 0) for i in range(1, n_max + 1)), 0]
         for fam, t in to_add:
-            c = max(fam.branch_constraints(*t), key=lambda r: r.lhs_value(assignment) - r.rhs)
+            [c] = fam.branch_constraints(*t, branches=[max_branch(pv, *t)])
             if c.label not in labels:
                 active.append(c)
                 labels.add(c.label)
                 added_labels.add(c.label)
+        times.append(RoundTimes(t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3))
     raise InvariantError("constraint generation did not converge")
 
 
@@ -716,8 +778,9 @@ def slack_report(lp: LPInstance, assignment: dict[str, Fraction]) -> SlackReport
     structural: dict[str, Fraction] = {}
     tight: list[str] = []
     violated: list[str] = []
+    D, X = _scaled_assignment(assignment)
     for c in lp.constraints:
-        s = c.slack(assignment)
+        s = Fraction(*_slack_over(c, D, X))
         structural[c.label] = s
         if c.rel == "==":
             if s != 0:
@@ -807,13 +870,20 @@ def write_lp_file(lp: LPInstance, path: str) -> int:
     """Write the fully expanded program in CPLEX LP text format, plus a
     JSON sidecar at path + '.json' with exact rational coefficients.
     Returns the number of rows written."""
-    used: dict[str, int] = {}
+    used: dict[str, int] = {}  # the last suffix tried per base name
+    taken: set[str] = set()
 
     def safe(label: str) -> str:
+        """label with every character outside [A-Za-z0-9_] made '_', then
+        _1, _2, ... appended until the name is not already written."""
         base = _NAME_RE.sub("_", label)
-        n = used.get(base, 0)
-        used[base] = n + 1
-        return base if n == 0 else f"{base}_{n}"
+        name, n = base, used.get(base, 0)
+        while name in taken:
+            n += 1
+            name = f"{base}_{n}"
+        used[base] = n
+        taken.add(name)
+        return name
 
     side = {
         "name": lp.name,
@@ -875,6 +945,7 @@ def stats_payload(sol: LPSolution) -> dict:
             "simplex_s": times.simplex_s,
             "scan_s": times.scan_s,
             "certify_s": times.certify_s,
+            "select_s": times.select_s,
             "us_per_pivot": times.simplex_s / pivots * 1e6 if pivots else 0.0,
         })
     pivots = sum(r["phase1_pivots"] + r["phase2_pivots"] for r in rounds)
@@ -885,6 +956,7 @@ def stats_payload(sol: LPSolution) -> dict:
         "simplex_s": simplex_s,
         "scan_s": sum(r["scan_s"] for r in rounds),
         "certify_s": sum(r["certify_s"] for r in rounds),
+        "select_s": sum(r["select_s"] for r in rounds),
         "us_per_pivot": simplex_s / pivots * 1e6 if pivots else 0.0,
     }
 

@@ -24,21 +24,32 @@ the nonbasic column at each position; a pivot swaps the entering column
 id for the leaving one at that position.  All entries are integer
 numerators over the row's denominator, and after every update a row is
 divided by the gcd of its entries and its denominator, so each row is the
-unique reduced form of its rational row.  That gcd divides gcd(rhs, den),
-which is computed for every updated row at once, and only the rows where
-it is not 1 take the full gcd.  The reduced-cost row is the last row and
-has the same form.  It is built once per phase from the cost vector and
-the basis, then updated with the pivot row on every pivot like any other
-row.
+unique reduced form of its rational row.  The reduced-cost row is the
+last row and has the same form.  It is built once per phase from the
+cost vector and the basis, then updated with the pivot row on every
+pivot like any other row.
 
-A pivot updates the tableau in place, as a whole: row i becomes
+A pivot updates the tableau in place, in one form: row i becomes
 row_i * s_i - t_i * prow, where c_i is its entry in the pivot column,
 pden the pivot row's, s_i = pden / gcd(c_i, pden) and t_i = c_i /
 gcd(c_i, pden).  A row with c_i = 0, the pivot row included, has s_i = 1
-and t_i = 0 and is left as it is.  When every s_i is 1 (pden divides
-every c_i), no denominator changes and t * prow is subtracted only on
-prow's nonzero columns; otherwise every row is scaled by its s_i, and
-t * prow subtracted, across the whole width.
+and t_i = 0 and is left as it is.  Only the rows with s_i != 1 are
+scaled (none when pden divides every c_i), and t * prow is then
+subtracted on prow's nonzero columns, for every row at once.
+
+Only a factor of D, the pivot row's denominator before the pivot (old_den
+in _pivot), can divide an updated row.  In the long tableau, with every
+column, row i != r becomes s_i R_i - t_i R_r, and it holds -t_i D at the
+leaving column, where R_i is 0 and R_r is D.  A prime p that divides the
+new row divides neither s_i nor t_i: s_i and t_i are coprime, so if p
+divided s_i it would divide t_i R_r but not t_i, hence all of R_r, and if
+it divided t_i it would divide all of R_i, and both rows were reduced.  So
+p^k divides t_i D only if p^k divides D: the new row's gcd divides D, and
+it divides the row's rhs and den too.  When D is 1 no row can need
+dividing and the gcd pass is skipped (two pivots in three on the
+programs of lp); otherwise only the updated rows where
+gcd(rhs, den, D) != 1 take the full gcd.  The reduced-cost row is reduced
+and 0 at the leaving column too, so the same holds for it.
 
 The tableau is int64 while that is exact.  Before each update a float64
 bound max(|row|, den) * s + |t| * max(|prow|, pden) is compared with
@@ -55,16 +66,19 @@ early and changes no value).  One bound over the whole block, max|block|
 per-row bound, so only when it reaches _INT64_BOUND does the per-row
 bound run, and the tableau turns at the same pivots either way.  A
 program whose input already reaches the bound starts in Python ints.
-The ratio test cross-multiplies Python ints.  Fractions appear only when
-reading the input and in the returned assignment, so the optimum is
-exact.
+Fractions appear only when reading the input and in the returned
+assignment, and no float decides a pivot, so the optimum is exact.
 
 Bland's rule picks both the entering column (the lowest index with a
-negative reduced cost) and the leaving row (the minimum ratio, ties to
-the lowest basic column), so the method terminates without cycling, and
-every pivot is the one a dense rational tableau with the same rule
-takes.  Phase 1 minimizes the sum of the artificials, then pivots each
-artificial still basic out of its row on the row's first nonzero
+negative reduced cost, one masked argmin over `cols`) and the leaving row
+(the minimum ratio, ties to the lowest basic column), so the method
+terminates without cycling, and every pivot is the one a dense rational
+tableau with the same rule takes.  Most pivots here are degenerate: when
+a row with a positive pivot-column entry has rhs 0, the minimum ratio is
+0 and the leaving row is the one of those rows with the lowest basic
+column.  Only the other pivots compare ratios, by cross-multiplying
+Python ints.  Phase 1 minimizes the sum of the artificials, then pivots
+each artificial still basic out of its row on the row's first nonzero
 non-artificial column; a row with no such column is redundant and keeps
 its artificial basic at zero.  Phase 2 never lets an artificial enter.
 
@@ -197,22 +211,23 @@ def _pivot(tab: _Tableau, cols: np.ndarray, basis: list[int], r: int, e: int) ->
     old_den = prow[q]
     a[:, q] = 0
     prow[q] = old_den
-    if s.max() != 1:
-        a *= s[:, None]
-        a[:, :-1] -= t[:, None] * prow[:-1]
-    else:
-        # the denominators stay, and only prow's nonzero columns change
-        nz = prow[:-1].nonzero()[0]
-        a[:, nz] -= np.multiply.outer(t, prow[nz])
-    # a row's gcd divides gcd(rhs, den), so only the updated rows where
-    # that is not 1 can need dividing
-    rest = ((np.gcd(a[:, -2], a[:, -1]) != 1) & (c != 0)).nonzero()[0]
-    if rest.size:
-        g = np.gcd.reduce(a[rest], axis=1)
-        big = g != 1
-        if big.any():
-            rest, g = rest[big], g[big]
-            a[rest] //= g[:, None]
+    # scale the rows whose s is not 1, then subtract t * prow where prow
+    # is nonzero (its den excluded)
+    scaled = (s != 1).nonzero()[0]
+    if scaled.size:
+        a[scaled] *= s[scaled, None]
+    nz = prow[:-1].nonzero()[0]
+    a[:, nz] -= np.multiply.outer(t, prow[nz])
+    # an updated row's gcd divides the pivot row's old den, and its rhs and
+    # den, so with old_den 1 no row can need dividing
+    if old_den != 1:
+        rest = ((np.gcd(np.gcd(a[:, -2], a[:, -1]), old_den) != 1) & (c != 0)).nonzero()[0]
+        if rest.size:
+            g = np.gcd.reduce(a[rest], axis=1)
+            big = g != 1
+            if big.any():
+                rest, g = rest[big], g[big]
+                a[rest] //= g[:, None]
     cols[q] = basis[r]
     basis[r] = e
 
@@ -307,22 +322,28 @@ def solve_simplex(
         pivots = 0
         while True:
             a = tab.a
-            candidates = cols[(a[m, :w] < 0) & (cols < limit)]
-            if not candidates.size:
+            # Bland: the lowest column with a negative reduced cost
+            masked = np.where((a[m, :w] < 0) & (cols < limit), cols, limit)
+            q = int(masked.argmin()) if w else 0
+            if not w or masked[q] == limit:
                 return "optimal", pivots
-            entering = int(candidates.min())
-            q = int((cols == entering).nonzero()[0][0])
+            entering = int(cols[q])
             positive = (a[:m, q] > 0).nonzero()[0]
             if not positive.size:
                 return "unbounded", pivots
-            leaving, best_a, best_b = -1, 0, 0
-            for i, ai, bi in zip(positive.tolist(), a[positive, q].tolist(),
-                                 a[positive, w].tolist()):
-                # ratio rhs_i / a_i; the row denominator cancels
-                if leaving < 0 or bi * best_a < best_b * ai or (
-                    bi * best_a == best_b * ai and basis[i] < basis[leaving]
-                ):
-                    leaving, best_a, best_b = i, ai, bi
+            zero = positive[a[positive, w] == 0]
+            if zero.size:
+                # the minimum ratio is 0: the lowest basic column among them
+                leaving = min(zero.tolist(), key=basis.__getitem__)
+            else:
+                leaving, best_a, best_b = -1, 0, 0
+                for i, ai, bi in zip(positive.tolist(), a[positive, q].tolist(),
+                                     a[positive, w].tolist()):
+                    # ratio rhs_i / a_i; the row denominator cancels
+                    if leaving < 0 or bi * best_a < best_b * ai or (
+                        bi * best_a == best_b * ai and basis[i] < basis[leaving]
+                    ):
+                        leaving, best_a, best_b = i, ai, bi
             _pivot(tab, cols, basis, leaving, entering)
             pivots += 1
 

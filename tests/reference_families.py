@@ -1,14 +1,31 @@
-"""Per-tuple float scan: the test oracle for HFamily.scan.
+"""Per-tuple and per-row references for the H families and their rows.
 
-This is the package's earlier family scan, a Python loop that evaluates
+scan is the package's earlier family scan, a Python loop that evaluates
 the min-form of H one tuple at a time in floats.  HFamily.scan evaluates
 the same formula over the family's cached tuple table, column by column,
 in the same order of operations, so both must return the same list: the
-same tuples in enumeration order with bit-identical violations.  Only
-tests import it.
+same tuples in enumeration order with bit-identical violations.
+
+lhs_value and slack evaluate one LinearConstraint in Fractions, term by
+term: the oracle for the integer slacks that lp.solve and slack_report
+read from each row's integer form, and for lp.max_branch.  Only tests
+import this module.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+
+def lhs_value(c, assignment: dict[str, Fraction]) -> Fraction:
+    """coeffs . assignment of a LinearConstraint, variables absent from
+    assignment 0."""
+    return sum((x * assignment.get(v, Fraction(0)) for v, x in c.coeffs), Fraction(0))
+
+
+def slack(c, assignment: dict[str, Fraction]) -> Fraction:
+    """rhs - lhs of a LinearConstraint at assignment."""
+    return c.rhs - lhs_value(c, assignment)
 
 
 def scan(fam, pf: list[float], lam_of: dict[str, float], tol: float) -> list[tuple[float, tuple]]:

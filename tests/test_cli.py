@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -636,6 +637,24 @@ class TestLpStats:
             pivots = r["phase1_pivots"] + r["phase2_pivots"]
             assert r["us_per_pivot"] == pytest.approx(r["simplex_s"] / pivots * 1e6)
         assert stats["simplex_s"] == pytest.approx(sum(r["simplex_s"] for r in stats["rounds"]))
+
+    def test_sidecar_times_the_selection(self, tmp_path, capsys):
+        # select_s covers the prune and the branch picks, so a round's four
+        # phases account for its time; only the last round selects nothing
+        path = tmp_path / "stats.json"
+        code, _, _ = run(["lp", "solve", "--kind", "vigoda", "--nmax", "5",
+                          "--stats", str(path)], capsys)
+        assert code == 0
+        stats = json.loads(path.read_text())
+        rounds = stats["rounds"]
+        assert len(rounds) > 1
+        assert all(r["select_s"] > 0 for r in rounds[:-1]) and rounds[-1]["select_s"] >= 0
+        assert stats["select_s"] == pytest.approx(sum(r["select_s"] for r in rounds))
+        start = time.perf_counter()
+        sol = lp_mod.solve(lp_mod.build_vigoda_lp(5, 3))
+        wall = time.perf_counter() - start
+        phases = sum(t.simplex_s + t.scan_s + t.certify_s + t.select_s for t in sol.round_times)
+        assert 0 < phases <= wall
 
     def test_timings_stay_out_of_the_solution(self):
         sol = lp_mod.solve(lp_mod.build_tight_lp())

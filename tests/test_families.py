@@ -16,12 +16,17 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flipdyn.lp as lp_mod
 import reference_families
-from flipdyn import build_mixed_lp, build_vigoda_lp, vigoda_vector
-from flipdyn.lp import HFamily
+from flipdyn import (alt_vector, build_mixed_lp, build_tight_lp, build_vigoda_lp,
+                     mixed_vector, slack_report, solve, vigoda_vector)
+from flipdyn.coupling import _argmax_lowest
+from flipdyn.lp import HFamily, extend_assignment
+from reference_families import lhs_value, slack
 
 F = Fraction
 
@@ -106,7 +111,7 @@ def test_branch_rows_linearize_h():
                 f"{fam.label_for(*t)}/br={''.join(br)}"
                 for br in itertools.product("ab", repeat=fam.m)
             ]
-            worst = max(c.lhs_value(assignment) - c.rhs for c in rows)
+            worst = max(lhs_value(c, assignment) - c.rhs for c in rows)
             assert worst == -fam.tuple_slack(*t, assignment)
         seen[f"m={fam.m}"] += 1
         seen["big" if big else "small"] += 1
@@ -137,3 +142,129 @@ def test_scan_of_the_size_three_family():
         got = fam.scan(pf, {"lam": lam}, 1e-12)
         assert got == reference_families.scan(fam, pf, {"lam": lam}, 1e-12)
     assert got
+
+
+def picked_by_rows(rows, assignment) -> str:
+    """The branch of the first of a tuple's rows (branch_constraints, in
+    product("ab") order) with the largest lhs - rhs: the row solve added
+    before it read max_branch."""
+    best = max(rows, key=lambda c: lhs_value(c, assignment) - c.rhs)
+    return best.label.rsplit("/br=", 1)[1]
+
+
+def has_tie(pv, t) -> bool:
+    """Whether q_i = q'_i for some i of tuple t: two rows then tie."""
+    a, b, A, B = t
+    i_max, j_max = _argmax_lowest(a), _argmax_lowest(b)
+    return any(pv[x] - pv[A] * (i == i_max) == pv[y] - pv[B] * (i == j_max)
+               for i, (x, y) in enumerate(zip(a, b)))
+
+
+def branch_points(inst, assignment):
+    """max_branch's p vector for inst at assignment, as Fractions and as
+    integers over their common denominator."""
+    pv = [F(0)] + [assignment.get(f"p{i}", F(0)) for i in range(1, inst.meta["n_max"] + 1)]
+    pv.append(F(0))
+    _, nums = lp_mod._over_lcm(pv)
+    return pv, nums
+
+
+@pytest.mark.parametrize("build", [lambda: build_vigoda_lp(7, 3), lambda: build_mixed_lp(6, 3)],
+                         ids=["vigoda-n7", "mixed-n6"])
+def test_max_branch_is_the_first_maximizing_row(build):
+    # at the program's optimum and at the three preset vectors, every tuple
+    inst = build()
+    points = [solve(inst).assignment] + [
+        extend_assignment(inst, probs, F(11, 6))
+        for probs in (vigoda_vector(), alt_vector(), mixed_vector())]
+    pvs = [branch_points(inst, assignment) for assignment in points]
+    ties = 0
+    for fam in inst.families:
+        for t in fam.tuples():
+            rows = fam.branch_constraints(*t)
+            for assignment, (fractions, integers) in zip(points, pvs):
+                want = picked_by_rows(rows, assignment)
+                assert lp_mod.max_branch(integers, *t) == want == lp_mod.max_branch(fractions, *t)
+                ties += has_tie(fractions, t)
+    assert ties
+
+
+@st.composite
+def tied_points(draw):
+    """(family, assignment) for m = 1..3, every p drawn from {0, 1/4, 1/2},
+    so that q_i = q'_i is frequent, and the lam variables from [0, 3]."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, (7, 4, 3)[m - 1]))
+    fam = HFamily(m, n, LAM_MAPS[draw(st.sampled_from(sorted(LAM_MAPS)))])
+    assignment = {f"p{i}": draw(st.sampled_from([F(0), F(1, 4), F(1, 2)]))
+                  for i in range(1, n + 1)}
+    assignment.update((v, F(draw(st.integers(0, 12)), 4)) for v in LAM_VARS)
+    return fam, assignment
+
+
+def test_max_branch_breaks_ties_like_the_rows():
+    seen = collections.Counter()
+
+    @settings(max_examples=40)
+    @given(point=tied_points())
+    def check(point):
+        fam, assignment = point
+        pv = [F(0)] + [assignment[f"p{i}"] for i in range(1, fam.n_max + 1)] + [F(0)]
+        for t in fam.tuples():
+            assert lp_mod.max_branch(pv, *t) == picked_by_rows(fam.branch_constraints(*t),
+                                                                assignment)
+            seen["ties"] += has_tie(pv, t)
+            seen["tuples"] += 1
+        seen[f"m={fam.m}"] += 1
+
+    check()
+    assert seen["ties"] >= 1000 and seen["tuples"] > seen["ties"], seen
+    for m in (1, 2, 3):
+        assert seen[f"m={m}"] >= 5, seen
+
+
+BUILDERS = {
+    "tight": build_tight_lp,
+    "tight-without-tight/4": lambda: build_tight_lp().without("tight/4"),
+    "vigoda-n3-m3": lambda: build_vigoda_lp(3, 3),
+    "vigoda-n4-m4": lambda: build_vigoda_lp(4, 4),
+    "mixed-n4-m3": lambda: build_mixed_lp(4, 3),
+    "mixed-n4-m4-gamma7/3": lambda: build_mixed_lp(4, 4, F(7, 3), cap3=False),
+}
+
+
+def assignments(variables):
+    """Every variable, or most of them (a missing one reads 0), a rational
+    of either sign with a denominator up to 60, or in big cases above 2**40."""
+    dens = st.one_of(st.integers(1, 60), st.integers(2**40, 2**41))
+    value = st.builds(F, st.integers(-100, 100), dens)
+    return st.fixed_dictionaries({}, optional={v: value for v in variables})
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_integer_slacks_match_the_fraction_slacks(name):
+    # the integer form each row keeps, over one common denominator of the
+    # assignment, gives every structural row's exact slack: in the prune
+    # of solve (the added branch rows, checked here on the small families)
+    # and in slack_report
+    inst = BUILDERS[name]()
+    rows = list(inst.constraints)
+    if name in ("tight", "vigoda-n3-m3", "mixed-n4-m3"):
+        rows = list(inst.all_constraints())
+    seen = collections.Counter()
+
+    @settings(max_examples=15)
+    @given(assignment=assignments(inst.variables))
+    def check(assignment):
+        D, X = lp_mod._scaled_assignment(assignment)
+        for c in rows:
+            want = slack(c, assignment)
+            assert F(*lp_mod._slack_over(c, D, X)) == want
+            seen["negative" if want < 0 else "zero" if want == 0 else "positive"] += 1
+        report = slack_report(inst, assignment)
+        for c in inst.constraints:
+            assert report.slacks[c.label] == slack(c, assignment)
+
+    check()
+    for outcome in ("negative", "zero", "positive"):
+        assert seen[outcome] >= 5, seen

@@ -390,6 +390,18 @@ class TestExport:
             assert {v: F(s) for v, s in row["coeffs"].items()} == dict(orig.coeffs)
             assert F(row["rhs"]) == orig.rhs
 
+    def test_lp_file_row_names_stay_distinct(self, tmp_path):
+        # a/b and a.b both become a_b; the second takes a_b_1, so the label
+        # a_b_1 itself must move on to the next free name
+        rows = tuple(LinearConstraint(label, (("x", F(1)),), "<=", F(k))
+                     for k, label in enumerate(["a/b", "a.b", "a_b_1", "a_b"], 1))
+        path = str(tmp_path / "names.lp")
+        write_lp_file(LPInstance("names", ("x",), rows, (), "x"), path)
+        lines = Path(path).read_text().splitlines()
+        body = lines[lines.index("Subject To") + 1:lines.index("Bounds")]
+        assert [line.split(":")[0].strip() for line in body] == [
+            "a_b", "a_b_1", "a_b_1_1", "a_b_2"]
+
     def test_solution_file(self, tmp_path):
         sol = solve(build_tight_lp())
         path = str(tmp_path / "sol.json")

@@ -9,11 +9,12 @@ final basis, the pivot counts and every single pivot.
 from __future__ import annotations
 
 import collections
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flipdyn.lp as lp_mod
@@ -117,11 +118,24 @@ def scaled_programs(draw):
     return variables, scaled, {v: f * c for v, c in objective.items()}
 
 
+# The drawn scaled programs never take a pivot whose every s is 1 past
+# int64's bound.  In this one the second phase-1 pivot does: x is basic
+# in row 0 after the first, then y enters on row 0, whose y entry 1
+# divides every other (every s is 1), and row 1 picks up 2**31 * 2**32 at
+# the leaving column.  Wrapped in int64, that entry changes the result.
+UNIT_PIVOT_PAST_INT64 = (
+    ["x", "y"],
+    [({"x": F(2**32), "y": F(1)}, "==", F(0)), ({"y": F(2**31)}, "==", F(0))],
+    {},
+)
+
+
 def test_matches_reference_on_large_coefficients(pivot_dtypes):
     seen = collections.Counter()
 
     @settings(max_examples=300)
     @given(prog=scaled_programs())
+    @example(prog=UNIT_PIVOT_PAST_INT64)
     def check(prog):
         variables, constraints, objective = prog
         trace: list[tuple[int, int]] = []
@@ -150,6 +164,57 @@ def test_rows_stay_reduced(reduced_rows):
 
     check()
     assert {np.dtype(np.int64), np.dtype(object)} <= set(reduced_rows)
+
+
+def old_den_factors(monkeypatch) -> collections.Counter:
+    """Check after every pivot that each row it updated was divided only by
+    a factor of the pivot row's den before the pivot (old den).
+
+    Row i (c_i != 0) becomes s_i * row_i - t_i * prow over s_i * den_i
+    before it is reduced, so the factor removed is s_i * den_i over its
+    den after the pivot.  The counter gains each pivot's kind ("old den 1"
+    or "old den > 1") and "divided" for each row divided by more than 1.
+    """
+    seen = collections.Counter()
+    pivot = simplex._pivot
+
+    def checked(tab, cols, basis, r, e):
+        q = int(np.flatnonzero(cols == e)[0])
+        old_den, pden = int(tab.a[r, -1]), abs(int(tab.a[r, q]))
+        before = [(int(c), int(den)) for c, den in zip(tab.a[:, q], tab.a[:, -1])]
+        pivot(tab, cols, basis, r, e)
+        for i, (c, den) in enumerate(before):
+            if i != r and c:
+                factor, rest = divmod(pden // math.gcd(c, pden) * den, int(tab.a[i, -1]))
+                assert rest == 0 and old_den % factor == 0, (i, factor, old_den)
+                seen["divided"] += factor != 1
+        seen["old den 1" if old_den == 1 else "old den > 1"] += 1
+
+    monkeypatch.setattr(simplex, "_pivot", checked)
+    return seen
+
+
+def test_rows_lose_only_factors_of_the_old_den(reduced_rows, monkeypatch):
+    # reduced_rows checks that each row is in lowest terms after the
+    # pivot, so a factor left in a row fails too
+    seen = old_den_factors(monkeypatch)
+
+    @settings(max_examples=200)
+    @given(prog=st.one_of(small_programs(), scaled_programs()))
+    def check(prog):
+        solve_simplex(*prog)
+
+    check()
+    for kind in ("old den 1", "old den > 1", "divided"):
+        assert seen[kind] >= 50, seen
+
+
+def test_pinned_programs_lose_only_factors_of_the_old_den(reduced_rows, monkeypatch):
+    seen = old_den_factors(monkeypatch)
+    for build in SIMPLEX_PROGRAMS.values():
+        solve(build())
+    for kind in ("old den 1", "old den > 1", "divided"):
+        assert seen[kind] >= 100, seen
 
 
 def one_pass_bound(block, s, t, prow) -> bool:
@@ -263,8 +328,8 @@ def test_input_errors():
 
 
 def pivot_forms(monkeypatch):
-    """A set that gains (dtype, all s = 1) for every pivot: which update
-    the kernel takes, read from the tableau before the pivot.  s_i is
+    """A set that gains (dtype, all s = 1) for every pivot: whether the
+    update scales any row, read from the tableau before the pivot.  s_i is
     pden / gcd(c_i, pden), with pden the pivot row's entry in the entering
     column and c_i row i's, so every s is 1 when pden divides every c_i."""
     seen = set()
@@ -284,8 +349,8 @@ def pivot_forms(monkeypatch):
 @pytest.mark.parametrize("bound, dtype", [(simplex._INT64_BOUND, np.int64), (2**8, object)],
                          ids=["int64", "python-ints"])
 def test_both_update_forms_run(bound, dtype, monkeypatch):
-    # the s = 1 update touches only the pivot row's nonzero columns, the
-    # other scales and subtracts whole rows; the pinned programs take both
+    # a pivot whose every s is 1 scales no row, any other scales some
+    # before the subtraction; the pinned programs take both
     monkeypatch.setattr(simplex, "_INT64_BOUND", bound)
     seen = pivot_forms(monkeypatch)
     for build in SIMPLEX_PROGRAMS.values():
